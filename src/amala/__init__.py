@@ -4,92 +4,22 @@ Targets expose log densities and gradients, samplers advance ChainStates
 from per-chain deterministic random streams, and the diagnostics quantify
 mixing against the analytic box density. The `amala` CLI drives seeded,
 reproducible experiments from a JSON config.
+
+The package exports what a library user needs to run and score a chain;
+everything else is importable from its submodule (amala.samplers,
+amala.adaptation, amala.rng, amala.targets, amala.diagnostics, amala.cli).
 """
 
-from .adaptation import AdaptParams, psi_draw, ratio_norm_guarded, sigma_update
-from .diagnostics import (
-    DiagnosticsReport,
-    autocorrelation,
-    build_report,
-    empirical_fisher,
-    ess,
-    histogram2d,
-    mode_coverage,
-    tv_distance,
-)
-from .rng import RngStream, next_normal, next_uniform, split
-from .samplers import (
-    AdaptiveSampler,
-    Chain,
-    ChainState,
-    HmcParams,
-    HmcSampler,
-    MalaSampler,
-    Proposal,
-    acceptance_probability,
-    adaptive_propose,
-    gaussian_log_density,
-    hmc_step,
-    init_state,
-    leapfrog,
-    log_accept_ratio,
-    make_sampler,
-    mala_propose,
-    mh_accept,
-    run_chain,
-)
-from .targets import (
-    NEG_INF,
-    GaussianMixture,
-    ParticleBox2D,
-    PhysConstants,
-    TargetDensity,
-    make_target,
-    standard_normal,
-)
+from .diagnostics import build_report
+from .samplers import run_chain
+from .targets import GaussianMixture, ParticleBox2D, standard_normal
 
 __all__ = [
-    "AdaptParams",
-    "AdaptiveSampler",
-    "Chain",
-    "ChainState",
-    "DiagnosticsReport",
     "GaussianMixture",
-    "HmcParams",
-    "HmcSampler",
-    "MalaSampler",
-    "NEG_INF",
     "ParticleBox2D",
-    "PhysConstants",
-    "Proposal",
-    "RngStream",
-    "TargetDensity",
-    "acceptance_probability",
-    "adaptive_propose",
-    "autocorrelation",
     "build_report",
-    "empirical_fisher",
-    "ess",
-    "gaussian_log_density",
-    "histogram2d",
-    "hmc_step",
-    "init_state",
-    "leapfrog",
-    "log_accept_ratio",
-    "make_sampler",
-    "make_target",
-    "mala_propose",
-    "mh_accept",
-    "mode_coverage",
-    "next_normal",
-    "next_uniform",
-    "psi_draw",
-    "ratio_norm_guarded",
     "run_chain",
-    "sigma_update",
-    "split",
     "standard_normal",
-    "tv_distance",
 ]
 
 __version__ = "0.1.0"

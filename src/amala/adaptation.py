@@ -32,7 +32,6 @@ class AdaptParams:
     eps: float
     beta: float = 1.0
     xi: float = 0.5
-    sigma0: float = 1.0
     base_floor: float = 1e-12
     norm_floor: float = 1e-12
 
@@ -41,8 +40,6 @@ class AdaptParams:
             raise ValueError("eps must be positive")
         if not 0.0 < self.xi < 1.0:
             raise ValueError("xi must lie in (0, 1)")
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
         if self.base_floor <= 0 or self.norm_floor <= 0:
             raise ValueError("floors must be positive")
 
@@ -74,11 +71,13 @@ def sigma_update(
 
     Strictly positive and finite for finite inputs; when the position and
     gradient norm ratios agree (r_theta == r_grad) the psi draw multiplies
-    zero and the output is deterministic.
+    zero and the output is deterministic. A NaN anywhere in the history makes
+    a norm ratio NaN and raises ValueError.
     """
-    assert not (np.any(np.isnan(theta_n)) or np.any(np.isnan(grad_n))), "NaN chain state"
     r_theta = ratio_norm_guarded(theta_n, theta_prev, params.norm_floor) ** 2
     r_grad = ratio_norm_guarded(grad_n, grad_prev, params.norm_floor) ** 2
+    if math.isnan(r_theta) or math.isnan(r_grad):
+        raise ValueError("NaN in the chain history")
     psi = psi_draw(sigma_prev, stream)
     base = params.beta + psi * (r_theta - r_grad)
     clamped = max(base, params.base_floor)

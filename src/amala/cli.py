@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ValueError("grid_res must be at least 2")
         if self.max_lag < 1:
             raise ValueError("max_lag must be at least 1")
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must be an integer in [0, 2**64)")
         if not self.samplers:
             raise ValueError("config needs at least one sampler block")
         names = [s.get("name") for s in self.samplers]
@@ -180,11 +182,13 @@ def _comparison_lines(records) -> list[str]:
 def run_experiment(config: ExperimentConfig, workers: int = 1, comparison: bool = False) -> dict:
     """Run all chains, write per-chain artifacts and the manifest.
 
-    Returns the manifest dict. Hashed files: chain CSVs, ACF CSVs,
-    histogram CSVs and the analytic grid. Diagnostics JSONs (and the
-    comparison table, when requested) carry wall times and are listed
-    without hashes.
+    Returns the manifest exactly as written to manifest.json. Hashed files:
+    chain CSVs, ACF CSVs, histogram CSVs and the analytic grid. Diagnostics
+    JSONs (and the comparison table, when requested) carry wall times and
+    are listed without hashes.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     out_dir = Path(config.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
     target, results = _run_chains(config, workers)
@@ -234,7 +238,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, comparison: bool 
     if is_box:
         manifest["target_energy"] = target.energy()
     _write_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    manifest["_records"] = records
     return manifest
 
 

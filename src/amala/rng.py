@@ -79,14 +79,6 @@ class RngStream:
         return [self.next_normal() for _ in range(n)]
 
 
-def next_uniform(stream: RngStream) -> float:
-    return stream.next_uniform()
-
-
-def next_normal(stream: RngStream) -> float:
-    return stream.next_normal()
-
-
 def split(seed: int, chain_id: int) -> RngStream:
     """Create the stream for one chain; chain_id maps 1:1 to stream_id."""
     return RngStream(seed=seed, stream_id=chain_id)

@@ -1,12 +1,17 @@
 """Samplers: classic MALA, the adaptive-scale Langevin sampler, and HMC.
 
-All three share the ChainState bookkeeping and, for the Langevin pair, the
-Metropolis-Hastings acceptance step. Proposals are isotropic Gaussians
-N(mean, scale * I); MALA uses the fixed scale eps^2 while the adaptive
-sampler draws a fresh stochastic scale each step from the trajectory
-history. The reverse-proposal density of the adaptive sampler reuses the
-forward scale: the scale is a function of the pre-proposal history, which
-both directions of a single step share.
+All three share the ChainState bookkeeping. The Langevin pair share one
+proposal (langevin_propose) and one Metropolis-Hastings step (mh_accept):
+proposals are isotropic Gaussians N(theta + (eps^2/2) grad, scale * I),
+MALA with the fixed scale eps^2 and the adaptive sampler with a fresh
+stochastic scale drawn each step from the trajectory history.
+
+MALA and HMC leave the target exactly invariant. The adaptive sampler does
+not: its scale depends on the current point through the norm ratios, but
+the reverse density reuses the forward scale instead of the scale the
+reverse move would draw at theta*, so the acceptance ratio is not the ratio
+of the true transition densities. The bias is small but measurable (E[x^2]
+of about 0.93 instead of 1 on a 2D standard normal at eps = 1).
 
 Stream-draw order per step is fixed (scale update if any, proposal noise,
 acceptance uniform) so chains replay bit-identically; zero-density
@@ -15,7 +20,7 @@ proposals are auto-rejected without consuming the acceptance uniform.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -35,7 +40,6 @@ class ChainState:
     theta_prev: np.ndarray | None = None
     grad_prev: np.ndarray | None = None
     sigma: float = 1.0
-    step: int = 0
 
 
 @dataclass
@@ -45,9 +49,8 @@ class Proposal:
     log_q_fwd is the log density of theta_star under N(mean_fwd,
     cov_scale_fwd * I); log_q_rev the log density of the current point under
     the reverse kernel centered at theta_star. Proposals landing on
-    zero-density points carry auto_reject (the reverse mean is undefined
-    there). log_p_star/grad_star cache target evaluations already done
-    during proposing; mh_accept recomputes them from the target when absent.
+    zero-density points carry auto_reject and no gradient (the reverse mean
+    is undefined there).
     """
 
     theta_star: np.ndarray
@@ -55,7 +58,7 @@ class Proposal:
     cov_scale_fwd: float
     log_q_fwd: float
     log_q_rev: float
-    log_p_star: float | None = None
+    log_p_star: float
     grad_star: np.ndarray | None = None
     auto_reject: bool = False
 
@@ -66,15 +69,12 @@ class HmcParams:
 
     eps_leap: float = 0.05
     n_leap: int = 20
-    mass: float = 1.0
 
     def __post_init__(self):
         if self.eps_leap <= 0:
             raise ValueError("eps_leap must be positive")
         if self.n_leap < 1:
             raise ValueError("n_leap must be at least 1")
-        if self.mass != 1.0:
-            raise ValueError("only the identity mass matrix is supported")
 
 
 @dataclass
@@ -99,97 +99,41 @@ def gaussian_log_density(x, mean, scale: float) -> float:
     return -0.5 * d * math.log(2.0 * math.pi * scale) - float(np.dot(diff, diff)) / (2.0 * scale)
 
 
-def init_state(target: TargetDensity, init, sigma: float = 1.0) -> ChainState:
+def init_state(target: TargetDensity, init) -> ChainState:
     """Chain state at the starting point; rejects zero-density inits."""
     theta = np.asarray(init, dtype=float).copy()
     log_p = target.log_density(theta)
     if log_p == NEG_INF:
         raise ValueError("initial point has zero density under the target")
-    return ChainState(theta=theta, log_p=log_p, grad=target.grad_log_density(theta), sigma=sigma)
+    return ChainState(theta=theta, log_p=log_p, grad=target.grad_log_density(theta))
 
 
-def _finish_proposal(
-    state: ChainState, target: TargetDensity, mean_fwd: np.ndarray, scale: float, stream: RngStream
+def langevin_propose(
+    state: ChainState, target: TargetDensity, eps: float, scale: float, stream: RngStream
 ) -> Proposal:
-    d = state.theta.shape[0]
-    z = np.array(stream.normals(d))
+    """Langevin proposal N(theta + (eps^2/2) grad, scale * I) with both densities.
+
+    MALA passes scale = eps^2; the adaptive sampler passes its history-driven
+    scale. The reverse density reuses the forward scale.
+    """
+    drift = 0.5 * eps * eps
+    mean_fwd = state.theta + drift * state.grad
+    z = np.array(stream.normals(state.theta.shape[0]))
     theta_star = mean_fwd + math.sqrt(scale) * z
     log_q_fwd = gaussian_log_density(theta_star, mean_fwd, scale)
     log_p_star = target.log_density(theta_star)
     if log_p_star == NEG_INF:
-        return Proposal(
-            theta_star=theta_star,
-            mean_fwd=mean_fwd,
-            cov_scale_fwd=scale,
-            log_q_fwd=log_q_fwd,
-            log_q_rev=math.nan,
-            log_p_star=log_p_star,
-            auto_reject=True,
-        )
+        return Proposal(theta_star, mean_fwd, scale, log_q_fwd, math.nan, log_p_star, auto_reject=True)
     grad_star = target.grad_log_density(theta_star)
-    return Proposal(
-        theta_star=theta_star,
-        mean_fwd=mean_fwd,
-        cov_scale_fwd=scale,
-        log_q_fwd=log_q_fwd,
-        log_q_rev=math.nan,
-        log_p_star=log_p_star,
-        grad_star=grad_star,
-    )
+    log_q_rev = gaussian_log_density(state.theta, theta_star + drift * grad_star, scale)
+    return Proposal(theta_star, mean_fwd, scale, log_q_fwd, log_q_rev, log_p_star, grad_star)
 
 
-def mala_propose(state: ChainState, target: TargetDensity, eps: float, stream: RngStream) -> Proposal:
-    """Euler-discretized Langevin proposal with fixed covariance eps^2 * I."""
-    drift = 0.5 * eps * eps
-    mean_fwd = state.theta + drift * state.grad
-    prop = _finish_proposal(state, target, mean_fwd, eps * eps, stream)
-    if not prop.auto_reject:
-        mean_rev = prop.theta_star + drift * prop.grad_star
-        prop.log_q_rev = gaussian_log_density(state.theta, mean_rev, prop.cov_scale_fwd)
-    return prop
-
-
-def adaptive_propose(
-    state: ChainState, target: TargetDensity, params: AdaptParams, stream: RngStream
-) -> Proposal:
-    """Langevin proposal whose covariance scale adapts to trajectory history.
-
-    Step 0 has no history pair, so it falls back to the classic MALA
-    proposal with scale eps^2; adaptation starts at step 1.
-    """
-    if state.theta_prev is None:
-        return mala_propose(state, target, params.eps, stream)
-    scale = sigma_update(
-        state.theta, state.theta_prev, state.grad, state.grad_prev, state.sigma, params, stream
-    )
-    drift = 0.5 * params.eps * params.eps
-    mean_fwd = state.theta + drift * state.grad
-    prop = _finish_proposal(state, target, mean_fwd, scale, stream)
-    if not prop.auto_reject:
-        mean_rev = prop.theta_star + drift * prop.grad_star
-        prop.log_q_rev = gaussian_log_density(state.theta, mean_rev, scale)
-    return prop
-
-
-def log_accept_ratio(state: ChainState, prop: Proposal, target: TargetDensity | None = None) -> float:
+def log_accept_ratio(state: ChainState, prop: Proposal) -> float:
     """Uncapped log acceptance ratio; -inf for auto-rejected proposals."""
     if prop.auto_reject:
         return NEG_INF
-    log_p_star = prop.log_p_star
-    if log_p_star is None:
-        if target is None:
-            raise ValueError("proposal carries no cached log density and no target was given")
-        log_p_star = target.log_density(prop.theta_star)
-    if log_p_star == NEG_INF:
-        return NEG_INF
-    return log_p_star + prop.log_q_rev - state.log_p - prop.log_q_fwd
-
-
-def acceptance_probability(
-    state: ChainState, prop: Proposal, target: TargetDensity | None = None
-) -> float:
-    """min(1, p(theta*) q(theta|theta*) / (p(theta) q(theta*|theta)))."""
-    return math.exp(min(0.0, log_accept_ratio(state, prop, target)))
+    return prop.log_p_star + prop.log_q_rev - state.log_p - prop.log_q_fwd
 
 
 def _advance(state: ChainState, theta, log_p, grad, sigma: float) -> ChainState:
@@ -202,31 +146,22 @@ def _advance(state: ChainState, theta, log_p, grad, sigma: float) -> ChainState:
         theta_prev=state.theta,
         grad_prev=state.grad,
         sigma=sigma,
-        step=state.step + 1,
     )
 
 
-def mh_accept(
-    state: ChainState, prop: Proposal, target: TargetDensity, stream: RngStream
-) -> tuple[ChainState, bool]:
+def mh_accept(state: ChainState, prop: Proposal, stream: RngStream) -> tuple[ChainState, bool]:
     """Metropolis-Hastings accept/reject; returns the next state.
 
     Zero-density proposals reject without consuming a uniform; every other
     step consumes exactly one.
     """
-    log_alpha = log_accept_ratio(state, prop, target)
-    if log_alpha == NEG_INF:
-        return _advance(state, state.theta, state.log_p, state.grad, prop.cov_scale_fwd), False
-    u = stream.next_uniform()
-    if log_alpha >= 0.0 or u < math.exp(log_alpha):
-        log_p_star = prop.log_p_star
-        if log_p_star is None:
-            log_p_star = target.log_density(prop.theta_star)
-        grad_star = prop.grad_star
-        if grad_star is None:
-            grad_star = target.grad_log_density(prop.theta_star)
-        return _advance(state, prop.theta_star, log_p_star, grad_star, prop.cov_scale_fwd), True
-    return _advance(state, state.theta, state.log_p, state.grad, prop.cov_scale_fwd), False
+    log_alpha = log_accept_ratio(state, prop)
+    sigma = prop.cov_scale_fwd
+    if log_alpha != NEG_INF:
+        u = stream.next_uniform()
+        if log_alpha >= 0.0 or u < math.exp(log_alpha):
+            return _advance(state, prop.theta_star, prop.log_p_star, prop.grad_star, sigma), True
+    return _advance(state, state.theta, state.log_p, state.grad, sigma), False
 
 
 def leapfrog(
@@ -239,8 +174,6 @@ def leapfrog(
     """
     theta = np.asarray(theta, dtype=float).copy()
     p = np.asarray(momentum, dtype=float).copy()
-    if params.n_leap == 0:
-        return theta, p, False
     half = 0.5 * params.eps_leap
     grad = target.grad_log_density(theta)
     for _ in range(params.n_leap):
@@ -274,7 +207,7 @@ def hmc_step(
 
 
 class MalaSampler:
-    """Classic MALA with fixed step size."""
+    """Classic MALA with fixed step size: the Langevin proposal at scale eps^2."""
 
     name = "mala"
 
@@ -283,43 +216,39 @@ class MalaSampler:
             raise ValueError("eps must be positive")
         self.eps = eps
 
-    def initial_sigma(self) -> float:
-        return self.eps * self.eps
-
     def params_dict(self) -> dict:
         return {"name": self.name, "eps": self.eps}
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
-        prop = mala_propose(state, target, self.eps, stream)
-        return mh_accept(state, prop, target, stream)
+        prop = langevin_propose(state, target, self.eps, self.eps * self.eps, stream)
+        return mh_accept(state, prop, stream)
 
 
 class AdaptiveSampler:
-    """Langevin sampler with the stochastic history-driven proposal scale."""
+    """Langevin sampler with the stochastic history-driven proposal scale.
+
+    Step 0 has no history pair, so it uses the MALA scale eps^2; adaptation
+    starts at step 1 and consumes one uniform (psi) before the proposal.
+    """
 
     name = "adaptive"
 
     def __init__(self, params: AdaptParams):
         self.params = params
 
-    def initial_sigma(self) -> float:
-        return self.params.sigma0
-
     def params_dict(self) -> dict:
-        p = self.params
-        return {
-            "name": self.name,
-            "eps": p.eps,
-            "beta": p.beta,
-            "xi": p.xi,
-            "sigma0": p.sigma0,
-            "base_floor": p.base_floor,
-            "norm_floor": p.norm_floor,
-        }
+        return {"name": self.name, **asdict(self.params)}
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
-        prop = adaptive_propose(state, target, self.params, stream)
-        return mh_accept(state, prop, target, stream)
+        p = self.params
+        if state.theta_prev is None:
+            scale = p.eps * p.eps
+        else:
+            scale = sigma_update(
+                state.theta, state.theta_prev, state.grad, state.grad_prev, state.sigma, p, stream
+            )
+        prop = langevin_propose(state, target, p.eps, scale, stream)
+        return mh_accept(state, prop, stream)
 
 
 class HmcSampler:
@@ -330,11 +259,8 @@ class HmcSampler:
     def __init__(self, params: HmcParams):
         self.params = params
 
-    def initial_sigma(self) -> float:
-        return 1.0
-
     def params_dict(self) -> dict:
-        return {"name": self.name, "eps_leap": self.params.eps_leap, "n_leap": self.params.n_leap}
+        return {"name": self.name, **asdict(self.params)}
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
         return hmc_step(state, self.params, target, stream)
@@ -345,7 +271,7 @@ def make_sampler(cfg: Mapping):
     cfg = dict(cfg)
     name = cfg.pop("name", None)
     if name == "mala":
-        return MalaSampler(eps=cfg["eps"])
+        return MalaSampler(**cfg)
     if name == "adaptive":
         return AdaptiveSampler(AdaptParams(**cfg))
     if name == "hmc":
@@ -374,7 +300,7 @@ def run_chain(
         raise ValueError("burn_in must be nonnegative")
     sampler = make_sampler(sampler_cfg) if isinstance(sampler_cfg, Mapping) else sampler_cfg
     stream = split(seed, chain_id)
-    state = init_state(target, init, sigma=sampler.initial_sigma())
+    state = init_state(target, init)
     d = state.theta.shape[0]
     samples = np.empty((n, d))
     log_ps = np.empty(n)

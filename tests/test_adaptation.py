@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -28,7 +30,7 @@ def sigma_oracle(theta_n, theta_prev, grad_n, grad_prev, psi, params):
 class TestParams:
     def test_defaults(self):
         p = AdaptParams(eps=0.1)
-        assert (p.beta, p.xi, p.sigma0) == (1.0, 0.5, 1.0)
+        assert (p.beta, p.xi) == (1.0, 0.5)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -36,7 +38,7 @@ class TestParams:
             {"eps": 0.0},
             {"eps": 0.1, "xi": 0.0},
             {"eps": 0.1, "xi": 1.0},
-            {"eps": 0.1, "sigma0": -1.0},
+            {"eps": -0.1},
             {"eps": 0.1, "base_floor": 0.0},
             {"eps": 0.1, "norm_floor": -1e-3},
         ],
@@ -171,5 +173,25 @@ class TestSigmaUpdate:
 
     def test_nan_input_asserts(self):
         params = AdaptParams(eps=0.1)
-        with pytest.raises(AssertionError):
-            sigma_update([math.nan], [1.0], [1.0], [1.0], 0.5, params, split(1, 0))
+        for args in (
+            ([math.nan], [1.0], [1.0], [1.0]),
+            ([1.0], [1.0], [math.nan], [1.0]),
+            ([1.0], [math.nan], [1.0], [1.0]),
+        ):
+            with pytest.raises(ValueError, match="NaN"):
+                sigma_update(*args, 0.5, params, split(1, 0))
+
+    def test_nan_input_raises_under_optimize(self):
+        # python -O strips asserts; the NaN check must survive it
+        code = (
+            "import math\n"
+            "from amala.adaptation import AdaptParams, sigma_update\n"
+            "from amala.rng import split\n"
+            "try:\n"
+            "    sigma_update([math.nan], [1.0], [1.0], [1.0], 0.5, AdaptParams(eps=0.1), split(1, 0))\n"
+            "except ValueError:\n"
+            "    print('raised')\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised"

@@ -69,6 +69,9 @@ class TestConfig:
             {"samplers": [{"name": "mala", "eps": 0.1}, {"name": "mala", "eps": 0.2}]},
             {"samplers": [{"name": "nuts"}]},
             {"target": {"name": "banana"}},
+            {"seed": -1},
+            {"seed": 2**64},
+            {"seed": 2**64 + 1},
         ],
     )
     def test_validation(self, overrides):
@@ -245,6 +248,13 @@ class TestMain:
         cfg_path = write_config(tmp_path, samplers=[{"name": "nuts"}])
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_workers_exits_nonzero(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, outputs=str(tmp_path / "out"))
+        assert main(["run", "--config", str(cfg_path), "--workers", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_grid_on_gauss_target_exits_nonzero(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, target=MIX_TARGET, init=[0.0, 0.0])

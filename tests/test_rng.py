@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from amala.rng import RngStream, next_normal, next_uniform, split
+from amala.rng import RngStream, split
 
 
 def test_clone_replays_identical_sequence():
@@ -14,8 +14,8 @@ def test_clone_replays_identical_sequence():
 def test_same_state_same_value():
     a = RngStream(seed=9, stream_id=3, counter=41)
     b = RngStream(seed=9, stream_id=3, counter=41)
-    assert next_uniform(a) == next_uniform(b)
-    assert next_normal(a) == next_normal(b)
+    assert a.next_uniform() == b.next_uniform()
+    assert a.next_normal() == b.next_normal()
 
 
 def test_uniform_range():
