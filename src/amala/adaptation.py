@@ -50,7 +50,9 @@ def ratio_norm_guarded(a, b, floor: float) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("vectors must have the same dimension")
-    return float(np.linalg.norm(a) / max(np.linalg.norm(b), floor))
+    # sqrt(x.dot(x)) is how np.linalg.norm computes a real 1-D norm, without
+    # its dispatch overhead
+    return math.sqrt(a.dot(a)) / max(math.sqrt(b.dot(b)), floor)
 
 
 def psi_draw(sigma_prev: float, stream: RngStream) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .diagnostics import build_report, histogram2d
 from .samplers import make_sampler, run_chain
-from .targets import GaussianMixture, ParticleBox2D, make_target
+from .targets import NEG_INF, GaussianMixture, ParticleBox2D, make_target
 
 
 @dataclass
@@ -57,10 +57,16 @@ class ExperimentConfig:
         names = [s.get("name") for s in self.samplers]
         if len(set(names)) != len(names):
             raise ValueError("sampler names must be unique (files are named by sampler)")
-        # fail early on unknown target/sampler names or bad parameters
-        make_target(self.target["name"], self.target)
+        # fail early on unknown target/sampler names, bad parameters or a
+        # starting point the chains cannot use
+        target = make_target(self.target["name"], self.target)
         for s in self.samplers:
             make_sampler(s)
+        init = resolve_init(self, target)
+        if init.shape != (target.dim,):
+            raise ValueError(f"init has shape {init.shape}, the target expects ({target.dim},)")
+        if not np.all(np.isfinite(init)) or target.log_density(init) == NEG_INF:
+            raise ValueError(f"init {init.tolist()} is not a finite point of positive target density")
 
     def to_dict(self) -> dict:
         return {
@@ -113,15 +119,35 @@ def _write_grid_csv(path: Path, grid: np.ndarray):
     _write_text(path, "\n".join(lines) + "\n")
 
 
+# rows formatted per write; small chunks keep the peak RSS of a run below
+# that of formatting a whole chain at once
+_CHAIN_CSV_ROWS = 256
+
+
 def _write_chain_csv(path: Path, chain):
-    d = chain.samples.shape[1]
-    burn_in = chain.meta["burn_in"]
-    header = "step," + ",".join(f"x{j}" for j in range(d)) + ",log_p,accepted"
-    lines = [header]
-    for i in range(chain.samples.shape[0]):
-        coords = ",".join(_fmt(v) for v in chain.samples[i])
-        lines.append(f"{burn_in + i + 1},{coords},{_fmt(chain.log_ps[i])},{int(chain.accepted[i])}")
-    _write_text(path, "\n".join(lines) + "\n")
+    """One row per sample, streamed in chunks of _CHAIN_CSV_ROWS rows.
+
+    tolist() gives the Python floats whose repr _fmt writes, so the bytes
+    match formatting each value on its own; chunking bounds the memory the
+    row strings take.
+    """
+    n, d = chain.samples.shape
+    step = chain.meta["burn_in"] + 1
+    with open(path, "w", newline="\n") as fh:
+        fh.write("step," + ",".join(f"x{j}" for j in range(d)) + ",log_p,accepted\n")
+        for start in range(0, n, _CHAIN_CSV_ROWS):
+            stop = start + _CHAIN_CSV_ROWS
+            rows = zip(
+                chain.samples[start:stop].tolist(),
+                chain.log_ps[start:stop].tolist(),
+                chain.accepted[start:stop].tolist(),
+            )
+            fh.write(
+                "".join(
+                    f"{step + i},{','.join(map(repr, coords))},{log_p!r},{int(acc)}\n"
+                    for i, (coords, log_p, acc) in enumerate(rows, start)
+                )
+            )
 
 
 def _write_acf_csv(path: Path, acf: np.ndarray):

@@ -104,12 +104,10 @@ def empirical_fisher(target: TargetDensity, samples) -> np.ndarray:
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("samples must be a nonempty n x d matrix")
-    d = pts.shape[1]
-    total = np.zeros((d, d))
-    for row in pts:
-        g = target.grad_log_density(row)
-        total += np.outer(g, g)
-    return total / pts.shape[0]
+    scores = np.empty(pts.shape)
+    for i in range(pts.shape[0]):
+        scores[i] = target.grad_log_density(pts[i])
+    return scores.T @ scores / pts.shape[0]
 
 
 @dataclass

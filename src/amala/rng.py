@@ -53,14 +53,18 @@ class RngStream:
     def clone(self) -> "RngStream":
         return RngStream(self.seed, self.stream_id, self.counter)
 
-    def _raw(self) -> int:
-        value = _mix64((self._key + self.counter * _GAMMA) & _MASK64)
-        self.counter = (self.counter + 1) & _MASK64
-        return value
-
     def next_uniform(self) -> float:
-        """Return one double in [0, 1); advances the counter by 1."""
-        return (self._raw() >> 11) * _INV_2_53
+        """Return one double in [0, 1); advances the counter by 1.
+
+        The top 53 bits of mix64(key + counter * GAMMA), with the SplitMix64
+        finalizer written out inline because this is the innermost call of
+        every sampler.
+        """
+        x = (self._key + self.counter * _GAMMA) & _MASK64
+        self.counter = (self.counter + 1) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((x ^ (x >> 31)) >> 11) * _INV_2_53
 
     def next_normal(self) -> float:
         """Return one standard normal variate; advances the counter by 2.

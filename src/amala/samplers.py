@@ -46,15 +46,14 @@ class ChainState:
 class Proposal:
     """One Gaussian proposal with both transition densities.
 
-    log_q_fwd is the log density of theta_star under N(mean_fwd,
-    cov_scale_fwd * I); log_q_rev the log density of the current point under
-    the reverse kernel centered at theta_star. Proposals landing on
-    zero-density points carry auto_reject and no gradient (the reverse mean
-    is undefined there).
+    log_q_fwd is the log density of theta_star under the forward kernel
+    N(theta + (eps^2/2) grad, cov_scale_fwd * I); log_q_rev the log density
+    of the current point under the reverse kernel centered at theta_star.
+    Proposals landing on zero-density points carry auto_reject and no
+    gradient (the reverse mean is undefined there).
     """
 
     theta_star: np.ndarray
-    mean_fwd: np.ndarray
     cov_scale_fwd: float
     log_q_fwd: float
     log_q_rev: float
@@ -123,10 +122,10 @@ def langevin_propose(
     log_q_fwd = gaussian_log_density(theta_star, mean_fwd, scale)
     log_p_star = target.log_density(theta_star)
     if log_p_star == NEG_INF:
-        return Proposal(theta_star, mean_fwd, scale, log_q_fwd, math.nan, log_p_star, auto_reject=True)
+        return Proposal(theta_star, scale, log_q_fwd, math.nan, log_p_star, auto_reject=True)
     grad_star = target.grad_log_density(theta_star)
     log_q_rev = gaussian_log_density(state.theta, theta_star + drift * grad_star, scale)
-    return Proposal(theta_star, mean_fwd, scale, log_q_fwd, log_q_rev, log_p_star, grad_star)
+    return Proposal(theta_star, scale, log_q_fwd, log_q_rev, log_p_star, grad_star)
 
 
 def log_accept_ratio(state: ChainState, prop: Proposal) -> float:
@@ -171,19 +170,26 @@ def leapfrog(
 
     Returns (theta, momentum, diverged); diverged flags a trajectory that
     drifted onto a zero-density point, where the gradient is undefined.
+    Only the gradient is evaluated along the trajectory: by the
+    TargetDensity contract it raises ValueError exactly at zero-density
+    points. The loop runs on float lists, which is the same sequence of
+    IEEE operations as the vector form and avoids numpy call overhead on
+    short vectors.
     """
-    theta = np.asarray(theta, dtype=float).copy()
-    p = np.asarray(momentum, dtype=float).copy()
-    half = 0.5 * params.eps_leap
-    grad = target.grad_log_density(theta)
+    eps = params.eps_leap
+    half = 0.5 * eps
+    theta = np.asarray(theta, dtype=float).tolist()
+    p = np.asarray(momentum, dtype=float).tolist()
+    grad = target.grad_log_density(theta).tolist()
     for _ in range(params.n_leap):
-        p = p + half * grad
-        theta = theta + params.eps_leap * p
-        if target.log_density(theta) == NEG_INF:
-            return theta, p, True
-        grad = target.grad_log_density(theta)
-        p = p + half * grad
-    return theta, p, False
+        p = [a + half * b for a, b in zip(p, grad)]
+        theta = [a + eps * b for a, b in zip(theta, p)]
+        try:
+            grad = target.grad_log_density(theta).tolist()
+        except ValueError:
+            return np.array(theta), np.array(p), True
+        p = [a + half * b for a, b in zip(p, grad)]
+    return np.array(theta), np.array(p), False
 
 
 def hmc_step(

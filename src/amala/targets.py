@@ -1,10 +1,8 @@
 """Target densities: the 2D particle-in-a-box benchmark and Gaussian mixtures.
 
-Every target exposes ``log_density`` (which may return -inf for zero-density
-points; never +inf, never NaN) and ``grad_log_density`` (only valid where the
-log density is finite). Zero-density regions are encoded as a -inf sentinel
-rather than an error so the Metropolis-Hastings step rejects such proposals
-naturally.
+Every target follows the TargetDensity contract. Zero-density regions are
+encoded as a -inf log density rather than an error so the
+Metropolis-Hastings step rejects such proposals naturally.
 """
 
 import math
@@ -16,7 +14,16 @@ NEG_INF = float("-inf")
 
 
 class TargetDensity:
-    """Interface shared by all targets: log density and its gradient."""
+    """Interface shared by all targets: log density and its gradient.
+
+    A point is any length-``dim`` sequence of floats (a numpy vector or a
+    list). ``log_density`` returns a float that may be -inf at zero-density
+    points, never +inf and never NaN for finite points.
+    ``grad_log_density`` returns a numpy vector and raises ``ValueError``
+    exactly where ``log_density`` is -inf. HMC's leapfrog relies on that:
+    it evaluates only the gradient along a trajectory and treats the
+    ``ValueError`` as a divergence.
+    """
 
     name = "target"
     dim = 0
@@ -39,20 +46,6 @@ class PhysConstants:
     def __post_init__(self):
         if self.rho <= 0 or self.hbar <= 0 or self.m <= 0:
             raise ValueError("physical constants must be strictly positive")
-
-
-def _axis_position(x: float, n: int, length: float) -> float | None:
-    """Scaled coordinate t = n*x/L in (0, n) and off integer nodes, else None.
-
-    Integer t (including the 0 and n box walls) is exactly where the
-    standing-wave factor sin(pi*t) vanishes.
-    """
-    if x <= 0.0 or x >= length:
-        return None
-    t = n * x / length
-    if t == math.floor(t):
-        return None
-    return t
 
 
 class ParticleBox2D(TargetDensity):
@@ -84,38 +77,52 @@ class ParticleBox2D(TargetDensity):
         self.ny = int(ny)
         self.gmax = float(gmax)
         self._log_norm = math.log(4.0 / (self.lx * self.ly))
+        # d/dx log sin^2(n pi x / L) = (2 n pi / L) cot(n pi x / L), per axis
+        self._kx = 2.0 * (self.nx * math.pi / self.lx)
+        self._ky = 2.0 * (self.ny * math.pi / self.ly)
 
-    def log_density(self, point) -> float:
+    def _scaled_position(self, point) -> tuple[float, float] | None:
+        """Scaled coordinates (nx*x/Lx, ny*y/Ly) of a point strictly inside the
+        box and off the nodal lines, else None.
+
+        Integer scaled coordinates (including the box walls) are exactly where
+        a standing-wave factor sin(pi*t) vanishes.
+        """
         x = float(point[0])
         y = float(point[1])
-        tx = _axis_position(x, self.nx, self.lx)
-        ty = _axis_position(y, self.ny, self.ly)
-        if tx is None or ty is None:
+        if x <= 0.0 or x >= self.lx or y <= 0.0 or y >= self.ly:
+            return None
+        tx = self.nx * x / self.lx
+        ty = self.ny * y / self.ly
+        if tx == math.floor(tx) or ty == math.floor(ty):
+            return None
+        return tx, ty
+
+    def log_density(self, point) -> float:
+        t = self._scaled_position(point)
+        if t is None:
             return NEG_INF
-        sx = math.sin(math.pi * tx)
-        sy = math.sin(math.pi * ty)
+        sx = math.sin(math.pi * t[0])
+        sy = math.sin(math.pi * t[1])
         if sx == 0.0 or sy == 0.0:
             return NEG_INF
         return self._log_norm + 2.0 * math.log(abs(sx)) + 2.0 * math.log(abs(sy))
 
     def grad_log_density(self, point) -> np.ndarray:
-        x = float(point[0])
-        y = float(point[1])
-        tx = _axis_position(x, self.nx, self.lx)
-        ty = _axis_position(y, self.ny, self.ly)
-        if tx is None or ty is None:
+        t = self._scaled_position(point)
+        if t is None:
             raise ValueError("gradient requested at a zero-density point")
-        ux = math.pi * tx
-        uy = math.pi * ty
+        ux = math.pi * t[0]
+        uy = math.pi * t[1]
         sx = math.sin(ux)
         sy = math.sin(uy)
         if sx == 0.0 or sy == 0.0:
             raise ValueError("gradient requested at a zero-density point")
         gmax = self.gmax
-        gx = 2.0 * (self.nx * math.pi / self.lx) * (math.cos(ux) / sx)
-        gy = 2.0 * (self.ny * math.pi / self.ly) * (math.cos(uy) / sy)
-        gx = min(max(gx, -gmax), gmax)
-        gy = min(max(gy, -gmax), gmax)
+        gx = self._kx * (math.cos(ux) / sx)
+        gy = self._ky * (math.cos(uy) / sy)
+        gx = gmax if gx > gmax else -gmax if gx < -gmax else gx
+        gy = gmax if gy > gmax else -gmax if gy < -gmax else gy
         return np.array([gx, gy])
 
     def energy(self, consts: PhysConstants = PhysConstants()) -> float:
@@ -204,14 +211,22 @@ class GaussianMixture(TargetDensity):
             return float(self._log_norms[0] - 0.5 * np.dot(diff / self.variances[0], diff))
         logs = self._component_log_densities(point)
         shift = logs.max()
+        if shift == NEG_INF:  # every quadratic form overflowed
+            return NEG_INF
         return float(shift + math.log(np.exp(logs - shift).sum()))
 
     def grad_log_density(self, point) -> np.ndarray:
         point = self._check_point(point)
         if len(self.weights) == 1:
-            return -(point - self.means[0]) / self.variances[0]
+            diff = point - self.means[0]
+            scaled = diff / self.variances[0]
+            if np.dot(scaled, diff) == math.inf:  # where log_density is -inf
+                raise ValueError("gradient requested at a zero-density point")
+            return -scaled
         logs = self._component_log_densities(point)
         shift = logs.max()
+        if shift == NEG_INF:
+            raise ValueError("gradient requested at a zero-density point")
         resp = np.exp(logs - shift)
         resp /= resp.sum()
         scores = -(point - self.means) / self.variances

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from amala.cli import (
+    _CHAIN_CSV_ROWS,
     ExperimentConfig,
+    _write_chain_csv,
     compare_samplers,
     emit_grid,
     load_config,
@@ -14,6 +16,7 @@ from amala.cli import (
     resolve_init,
     run_experiment,
 )
+from amala.samplers import Chain
 from amala.targets import make_target
 
 BOX_TARGET = {"name": "particle_box", "Lx": 1.0, "Ly": 1.0, "nx": 2, "ny": 2}
@@ -72,6 +75,12 @@ class TestConfig:
             {"seed": -1},
             {"seed": 2**64},
             {"seed": 2**64 + 1},
+            {"init": "somewhere"},
+            {"init": [0.3]},
+            {"init": [0.5, 0.25]},
+            {"init": [0.0, 0.25]},
+            {"init": [float("nan"), 0.25]},
+            {"target": MIX_TARGET, "init": [0.0, 0.0, 0.0]},
         ],
     )
     def test_validation(self, overrides):
@@ -86,7 +95,8 @@ class TestConfig:
         np.testing.assert_allclose(resolve_init(cfg, mix), [0.0, 0.0])
         vec = ExperimentConfig(**base_config(init=[0.3, 0.4]))
         np.testing.assert_allclose(resolve_init(vec, box), [0.3, 0.4])
-        bad = ExperimentConfig(**base_config(init="somewhere"))
+        bad = ExperimentConfig(**base_config())
+        bad.init = "somewhere"
         with pytest.raises(ValueError):
             resolve_init(bad, box)
 
@@ -120,6 +130,21 @@ class TestRunExperiment:
         first = lines[1].split(",")
         assert first[0] == str(cfg.burn_in + 1)
         assert first[-1] in {"0", "1"}
+
+    @pytest.mark.parametrize("n", [1, _CHAIN_CSV_ROWS - 1, _CHAIN_CSV_ROWS, _CHAIN_CSV_ROWS + 1])
+    def test_streamed_chain_csv_matches_joined_rows(self, tmp_path, n):
+        awkward = [-0.0, 5e-324, 1e16, 0.1 + 0.2, 1e-300, -2.5, 0.25]
+        samples = np.resize(np.array(awkward), (n, 3))
+        log_ps = np.resize(np.array(awkward[::-1]), n)
+        accepted = np.arange(n) % 3 == 0
+        chain = Chain(samples=samples, log_ps=log_ps, accepted=accepted, meta={"burn_in": 7})
+        lines = ["step,x0,x1,x2,log_p,accepted"]
+        for i in range(n):
+            coords = ",".join(repr(float(v)) for v in samples[i])
+            lines.append(f"{7 + i + 1},{coords},{repr(float(log_ps[i]))},{int(accepted[i])}")
+        path = tmp_path / "chain.csv"
+        _write_chain_csv(path, chain)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_diag_json_fields(self, tmp_path):
         cfg = ExperimentConfig(**base_config(outputs=str(tmp_path / "out"), chains=1))
@@ -254,6 +279,15 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path), "--workers", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("init", [[0.3], [0.5, 0.25]])
+    def test_bad_init_exits_before_output(self, tmp_path, capsys, init):
+        # wrong dimension, and a point on the box's nodal line x = 0.5
+        cfg_path = write_config(tmp_path, outputs=str(tmp_path / "out"), init=init)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: init") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_grid_on_gauss_target_exits_nonzero(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -61,7 +62,6 @@ def proposal_between(target, a, b, drift_scale, cov_scale):
     mean_rev = b + 0.5 * drift_scale * target.grad_log_density(b)
     return Proposal(
         theta_star=b,
-        mean_fwd=mean_fwd,
         cov_scale_fwd=cov_scale,
         log_q_fwd=gauss_logpdf_oracle(b, mean_fwd, cov_scale),
         log_q_rev=gauss_logpdf_oracle(a, mean_rev, cov_scale),
@@ -76,14 +76,21 @@ class TestMalaPropose:
         stream = split(3, 0)
         z = np.array(stream.clone().normals(2))
         prop = mala_propose(state, target, 0.5, stream)
-        np.testing.assert_allclose(prop.mean_fwd, state.theta, atol=0)
+        # zero drift: the forward mean is the current point
         np.testing.assert_allclose(prop.theta_star, state.theta + 0.5 * z, rtol=1e-15)
+        assert prop.log_q_fwd == pytest.approx(
+            gauss_logpdf_oracle(prop.theta_star, state.theta, 0.25), rel=1e-12
+        )
 
     def test_drift_moves_toward_mode(self):
         # theta=1, grad=-1, eps=0.5: proposal mean is 1 - 0.125 = 0.875
         state = init_state(NORMAL1, [1.0])
+        z = split(1, 0).normals(1)[0]
         prop = mala_propose(state, NORMAL1, 0.5, split(1, 0))
-        assert prop.mean_fwd[0] == pytest.approx(0.875, abs=1e-15)
+        assert prop.theta_star[0] - 0.5 * z == pytest.approx(0.875, abs=1e-15)
+        assert prop.log_q_fwd == pytest.approx(
+            gauss_logpdf_oracle(prop.theta_star, [0.875], 0.25), rel=1e-12
+        )
         assert prop.cov_scale_fwd == 0.25
 
     def test_log_q_matches_gaussian_oracle(self):
@@ -92,8 +99,9 @@ class TestMalaPropose:
         for _ in range(20):
             state = init_state(target, stream.normals(2))
             prop = mala_propose(state, target, 0.3, stream)
+            mean_fwd = state.theta + 0.5 * 0.09 * state.grad
             assert prop.log_q_fwd == pytest.approx(
-                gauss_logpdf_oracle(prop.theta_star, prop.mean_fwd, 0.09), rel=1e-12
+                gauss_logpdf_oracle(prop.theta_star, mean_fwd, 0.09), rel=1e-12
             )
             mean_rev = prop.theta_star + 0.5 * 0.09 * target.grad_log_density(prop.theta_star)
             assert prop.log_q_rev == pytest.approx(
@@ -186,7 +194,6 @@ class TestMhAccept:
         state = init_state(NORMAL1, [0.7])
         prop = Proposal(
             theta_star=np.array([-0.7]),
-            mean_fwd=state.theta,
             cov_scale_fwd=0.25,
             log_q_fwd=-1.3,
             log_q_rev=-1.3,
@@ -206,7 +213,6 @@ class TestMhAccept:
         state = init_state(BOX22, [0.25, 0.25])
         prop = Proposal(
             theta_star=np.array([0.5, 0.25]),
-            mean_fwd=state.theta,
             cov_scale_fwd=0.01,
             log_q_fwd=-1.0,
             log_q_rev=math.nan,
@@ -236,7 +242,6 @@ class TestMhAccept:
         state = init_state(NORMAL1, [0.2])
         prop = Proposal(
             theta_star=np.array([50.0]),
-            mean_fwd=state.theta,
             cov_scale_fwd=0.25,
             log_q_fwd=-1.0,
             log_q_rev=-1.0,
@@ -442,3 +447,54 @@ class TestRunChain:
         assert chain.meta["sampler"] == "mala"
         assert chain.meta["seed"] == 13 and chain.meta["chain_id"] == 2
         assert chain.meta["params"] == {"name": "mala", "eps": 0.5}
+
+
+class TestGoldenChains:
+    """Byte-level reproducibility: these chains must never change bits.
+
+    The digests were recorded before any performance work on the sampling
+    path; a change that alters one changed the arithmetic or the draw order.
+    The box HMC chain diverges on 35 of its 350 trajectories, so it also
+    pins the divergence path.
+    """
+
+    @pytest.mark.parametrize(
+        "cfg,target,init,digest",
+        [
+            (
+                {"name": "adaptive", "eps": 0.03},
+                BOX22,
+                [0.25, 0.25],
+                "8dd08af8fb82f66fe0a937975a63305545e4a0f4dbd294477409d25bdb64dfbf",
+            ),
+            (
+                {"name": "mala", "eps": 0.03},
+                BOX22,
+                [0.25, 0.25],
+                "52cad621d305a1d8e478a9a9177747b90e6cd924f982d1f1f286a5b8dcb0a253",
+            ),
+            (
+                {"name": "hmc", "eps_leap": 0.05, "n_leap": 20},
+                BOX22,
+                [0.25, 0.25],
+                "4478243820c8f9ee1e61d29004f9ffdd6365a15a4e0711072e3044c4e004eaf0",
+            ),
+            (
+                {"name": "adaptive", "eps": 0.8},
+                standard_normal(3),
+                [0.0, 0.0, 0.0],
+                "4df794f0fe4c1d088f806c18e2f5d49607cee05e7f808e15ad03f4439de29fe5",
+            ),
+            (
+                {"name": "mala", "eps": 0.8},
+                standard_normal(3),
+                [0.0, 0.0, 0.0],
+                "67424cfe6455ec6955284a37b37e8e267ec4d61015987745cd70e4d9f0f9951d",
+            ),
+        ],
+        ids=["adaptive-box", "mala-box", "hmc-box", "adaptive-normal", "mala-normal"],
+    )
+    def test_digest(self, cfg, target, init, digest):
+        chain = run_chain(cfg, target, 300, 50, init, seed=1, chain_id=0)
+        got = hashlib.sha256(chain.samples.tobytes() + chain.log_ps.tobytes()).hexdigest()
+        assert got == digest

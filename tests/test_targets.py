@@ -235,6 +235,61 @@ class TestGaussianMixture:
             GaussianMixture([(-1.0, [0.0], [1.0])])
 
 
+BOX_3X2 = ParticleBox2D(1.3, 0.7, 3, 2)
+MIX2 = GaussianMixture([(0.3, [-1.0, -1.0], [0.5, 0.5]), (0.7, [1.0, 1.0], [1.0, 1.0])])
+ZERO_DENSITY_POINTS = [
+    # walls
+    (BOX22, [0.0, 0.25]),
+    (BOX22, [1.0, 0.25]),
+    (BOX22, [0.25, 0.0]),
+    (BOX22, [0.25, 1.0]),
+    (BOX22, [0.0, 0.0]),
+    (BOX_3X2, [1.3, 0.2]),
+    (BOX_3X2, [0.4, 0.7]),
+    # nodal lines
+    (BOX22, [0.5, 0.25]),
+    (BOX22, [0.25, 0.5]),
+    (BOX22, [0.5, 0.5]),
+    (BOX_3X2, [0.4, 0.35]),
+    # outside the box
+    (BOX22, [-0.1, 0.25]),
+    (BOX22, [0.25, 1.2]),
+    (BOX22, [-1e-300, 0.25]),
+    (BOX22, [math.inf, 0.25]),
+    (BOX22, [0.25, -math.inf]),
+    # quadratic forms that overflow in the far tails of the Gaussians
+    (standard_normal(2), [1e200, 0.0]),
+    (MIX2, [0.0, -1e200]),
+]
+
+
+class TestTargetContract:
+    """grad_log_density raises ValueError exactly where log_density is -inf."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("target,point", ZERO_DENSITY_POINTS)
+    def test_zero_density_point_has_no_gradient(self, target, point):
+        assert target.log_density(point) == NEG_INF
+        with pytest.raises(ValueError):
+            target.grad_log_density(point)
+        with pytest.raises(ValueError):
+            target.grad_log_density(np.array(point))
+
+    @pytest.mark.parametrize("target", [BOX22, BOX_3X2, BOX11])
+    def test_interior_points_have_finite_density_and_gradient(self, target):
+        stream = split(31, 0)
+        for _ in range(2000):
+            point = [target.lx * stream.next_uniform(), target.ly * stream.next_uniform()]
+            assert math.isfinite(target.log_density(point))
+            assert np.all(np.isfinite(target.grad_log_density(point)))
+
+    @pytest.mark.parametrize("target", [standard_normal(2), MIX2])
+    def test_gaussian_tails_have_finite_density_and_gradient(self, target):
+        for point in ([1e6, -1e6], [1e100, 0.0], [-3.0, 40.0]):
+            assert math.isfinite(target.log_density(point))
+            assert np.all(np.isfinite(target.grad_log_density(point)))
+
+
 class TestRegistry:
     def test_particle_box(self):
         target = make_target("particle_box", {"Lx": 1.0, "Ly": 2.0, "nx": 2, "ny": 1})
