@@ -23,6 +23,9 @@ import numpy as np
 from .rng import RngStream
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# floor of the norm-ratio denominators and of the base before its power
+NORM_FLOOR = 1e-12
+BASE_FLOOR = 1e-12
 
 
 @dataclass
@@ -32,16 +35,12 @@ class AdaptParams:
     eps: float
     beta: float = 1.0
     xi: float = 0.5
-    base_floor: float = 1e-12
-    norm_floor: float = 1e-12
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if not 0.0 < self.xi < 1.0:
             raise ValueError("xi must lie in (0, 1)")
-        if self.base_floor <= 0 or self.norm_floor <= 0:
-            raise ValueError("floors must be positive")
 
 
 def ratio_norm_guarded(a, b, floor: float) -> float:
@@ -76,11 +75,11 @@ def sigma_update(
     zero and the output is deterministic. A NaN anywhere in the history makes
     a norm ratio NaN and raises ValueError.
     """
-    r_theta = ratio_norm_guarded(theta_n, theta_prev, params.norm_floor) ** 2
-    r_grad = ratio_norm_guarded(grad_n, grad_prev, params.norm_floor) ** 2
+    r_theta = ratio_norm_guarded(theta_n, theta_prev, NORM_FLOOR) ** 2
+    r_grad = ratio_norm_guarded(grad_n, grad_prev, NORM_FLOOR) ** 2
     if math.isnan(r_theta) or math.isnan(r_grad):
         raise ValueError("NaN in the chain history")
     psi = psi_draw(sigma_prev, stream)
     base = params.beta + psi * (r_theta - r_grad)
-    clamped = max(base, params.base_floor)
+    clamped = max(base, BASE_FLOOR)
     return params.eps * clamped**params.xi / (1.0 + math.exp(-r_grad))

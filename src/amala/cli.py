@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +40,10 @@ class ExperimentConfig:
     max_lag: int = 200
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
-        if self.chains < 1:
-            raise ValueError("chains must be at least 1")
-        if self.grid_res < 2:
-            raise ValueError("grid_res must be at least 2")
-        if self.max_lag < 1:
-            raise ValueError("max_lag must be at least 1")
+        for name, low in (("n", 1), ("burn_in", 0), ("chains", 1), ("grid_res", 2), ("max_lag", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be an integer in [0, 2**64)")
         if not self.samplers:
@@ -59,7 +53,7 @@ class ExperimentConfig:
             raise ValueError("sampler names must be unique (files are named by sampler)")
         # fail early on unknown target/sampler names, bad parameters or a
         # starting point the chains cannot use
-        target = make_target(self.target["name"], self.target)
+        target = make_target(self.target.get("name"), self.target)
         for s in self.samplers:
             make_sampler(s)
         init = resolve_init(self, target)
@@ -67,20 +61,6 @@ class ExperimentConfig:
             raise ValueError(f"init has shape {init.shape}, the target expects ({target.dim},)")
         if not np.all(np.isfinite(init)) or target.log_density(init) == NEG_INF:
             raise ValueError(f"init {init.tolist()} is not a finite point of positive target density")
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "samplers": self.samplers,
-            "n": self.n,
-            "burn_in": self.burn_in,
-            "chains": self.chains,
-            "seed": self.seed,
-            "init": self.init,
-            "outputs": self.outputs,
-            "grid_res": self.grid_res,
-            "max_lag": self.max_lag,
-        }
 
 
 def load_config(path, seed=None, out=None) -> ExperimentConfig:
@@ -163,69 +143,64 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _chain_job(args):
-    target_cfg, sampler_cfg, n, burn_in, init, seed, chain_id = args
-    target = make_target(target_cfg["name"], target_cfg)
-    return run_chain(sampler_cfg, target, n, burn_in, np.asarray(init), seed, chain_id)
+def _chain_job(job):
+    return run_chain(*job)
 
 
 def _run_chains(config: ExperimentConfig, workers: int):
-    """Run every (sampler, chain) pair, in (sampler name, chain id) order."""
-    target = make_target(config.target["name"], config.target)
+    """Run every (sampler, chain) pair, in (sampler name, chain id) order.
+
+    Each job is run_chain's argument tuple; a worker process gets the target
+    already built.
+    """
+    target = make_target(config.target.get("name"), config.target)
     init = resolve_init(config, target)
-    sampler_cfgs = sorted(config.samplers, key=lambda s: s["name"])
     jobs = [
-        (config.target, s, config.n, config.burn_in, list(map(float, init)), config.seed, k)
-        for s in sampler_cfgs
+        (s, target, config.n, config.burn_in, init, config.seed, k)
+        for s in sorted(config.samplers, key=lambda s: s["name"])
         for k in range(config.chains)
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chains = list(pool.map(_chain_job, jobs))
-    else:
-        chains = [_chain_job(job) for job in jobs]
-    return target, list(zip(jobs, chains))
+            return target, list(pool.map(_chain_job, jobs))
+    return target, [_chain_job(job) for job in jobs]
 
 
-def _comparison_lines(records) -> list[str]:
-    by_sampler: dict[str, list] = {}
-    for rec in records:
-        by_sampler.setdefault(rec["sampler"], []).append(rec)
+def _comparison_lines(by_sampler: dict) -> list[str]:
+    """One row per sampler name, each column a mean over its chains' reports."""
     lines = ["sampler,mean_time_s,acceptance_rate,min_ess,tv_distance,mode_coverage"]
     for name in sorted(by_sampler):
-        recs = by_sampler[name]
-        mean_time = np.mean([r["report"].wall_time_s for r in recs])
-        acc = np.mean([r["report"].acceptance_rate for r in recs])
-        min_ess = np.mean([min(r["report"].ess) for r in recs])
-        tvs = [r["report"].tv_distance for r in recs]
-        covs = [r["report"].mode_coverage for r in recs]
-        tv = "" if tvs[0] is None else _fmt(np.mean(tvs))
-        cov = "" if covs[0] is None else _fmt(np.mean(covs))
+        reps = by_sampler[name]
+        mean_time = np.mean([r.wall_time_s for r in reps])
+        acc = np.mean([r.acceptance_rate for r in reps])
+        min_ess = np.mean([min(r.ess) for r in reps])
+        tv = "" if reps[0].tv_distance is None else _fmt(np.mean([r.tv_distance for r in reps]))
+        cov = "" if reps[0].mode_coverage is None else _fmt(np.mean([r.mode_coverage for r in reps]))
         lines.append(f"{name},{_fmt(mean_time)},{_fmt(acc)},{_fmt(min_ess)},{tv},{cov}")
     return lines
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1, comparison: bool = False) -> dict:
-    """Run all chains, write per-chain artifacts and the manifest.
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
+    """Run all chains, write per-chain artifacts, the comparison table and
+    the manifest.
 
     Returns the manifest exactly as written to manifest.json. Hashed files:
     chain CSVs, ACF CSVs, histogram CSVs and the analytic grid. Diagnostics
-    JSONs (and the comparison table, when requested) carry wall times and
-    are listed without hashes.
+    JSONs and the comparison table carry wall times and are listed without
+    hashes.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     out_dir = Path(config.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    target, results = _run_chains(config, workers)
+    target, chains = _run_chains(config, workers)
     is_box = isinstance(target, ParticleBox2D)
 
     hashed: dict[str, str] = {}
     reports: list[str] = []
-    records = []
-    for job, chain in results:
-        sampler_cfg = job[1]
-        name = f"{sampler_cfg['name']}_chain{chain.meta['chain_id']}"
+    by_sampler: dict[str, list] = {}
+    for chain in chains:
+        name = f"{chain.meta['sampler']}_chain{chain.meta['chain_id']}"
         chain_path = out_dir / f"{name}.csv"
         _write_chain_csv(chain_path, chain)
         hashed[chain_path.name] = _sha256(chain_path)
@@ -243,20 +218,19 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, comparison: bool 
             hist_path = out_dir / f"{name}_hist.csv"
             _write_grid_csv(hist_path, histogram2d(chain.samples, target, config.grid_res))
             hashed[hist_path.name] = _sha256(hist_path)
-        records.append({"sampler": sampler_cfg["name"], "chain": chain, "report": report})
+        by_sampler.setdefault(chain.meta["sampler"], []).append(report)
 
     if is_box:
         grid_path = out_dir / "target_grid.csv"
         _write_grid_csv(grid_path, target.analytic_grid(config.grid_res))
         hashed[grid_path.name] = _sha256(grid_path)
 
-    if comparison:
-        cmp_path = out_dir / "comparison.csv"
-        _write_text(cmp_path, "\n".join(_comparison_lines(records)) + "\n")
-        reports.append(cmp_path.name)
+    cmp_path = out_dir / "comparison.csv"
+    _write_text(cmp_path, "\n".join(_comparison_lines(by_sampler)) + "\n")
+    reports.append(cmp_path.name)
 
     manifest = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "seed": config.seed,
         "files": dict(sorted(hashed.items())),
         "reports": sorted(reports),
@@ -268,16 +242,17 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, comparison: bool 
 
 
 def compare_samplers(config: ExperimentConfig, workers: int = 1) -> Path:
-    """Run the experiment and write the per-sampler comparison table."""
+    """run_experiment for a config with at least two samplers to compare;
+    returns the path of the comparison table."""
     if len(config.samplers) < 2:
         raise ValueError("compare needs at least 2 sampler blocks")
-    run_experiment(config, workers, comparison=True)
+    run_experiment(config, workers)
     return Path(config.outputs) / "comparison.csv"
 
 
 def emit_grid(config: ExperimentConfig) -> Path:
     """Write the analytic cell-mass grid for a box target."""
-    target = make_target(config.target["name"], config.target)
+    target = make_target(config.target.get("name"), config.target)
     if not isinstance(target, ParticleBox2D):
         raise ValueError("grid output is only defined for the particle_box target")
     out_dir = Path(config.outputs)

@@ -20,7 +20,7 @@ proposals are auto-rejected without consuming the acceptance uniform.
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -39,7 +39,7 @@ class ChainState:
     grad: np.ndarray
     theta_prev: np.ndarray | None = None
     grad_prev: np.ndarray | None = None
-    sigma: float = 1.0
+    sigma: float | None = None  # scale of the last Langevin proposal; None before one
 
 
 @dataclass
@@ -135,7 +135,7 @@ def log_accept_ratio(state: ChainState, prop: Proposal) -> float:
     return prop.log_p_star + prop.log_q_rev - state.log_p - prop.log_q_fwd
 
 
-def _advance(state: ChainState, theta, log_p, grad, sigma: float) -> ChainState:
+def _advance(state: ChainState, theta, log_p, grad, sigma: float | None = None) -> ChainState:
     # history shifts forward on accept and reject alike, so repeated
     # rejection drives the norm ratios to 1 and shrinks the adaptive scale
     return ChainState(
@@ -200,7 +200,7 @@ def hmc_step(
     p0 = np.array(stream.normals(d))
     theta_star, p_star, diverged = leapfrog(state.theta, p0, params, target)
     if diverged:
-        return _advance(state, state.theta, state.log_p, state.grad, state.sigma), False
+        return _advance(state, state.theta, state.log_p, state.grad), False
     log_p_star = target.log_density(theta_star)
     h_old = -state.log_p + 0.5 * float(np.dot(p0, p0))
     h_new = -log_p_star + 0.5 * float(np.dot(p_star, p_star))
@@ -208,8 +208,8 @@ def hmc_step(
     u = stream.next_uniform()
     if log_alpha >= 0.0 or u < math.exp(log_alpha):
         grad_star = target.grad_log_density(theta_star)
-        return _advance(state, theta_star, log_p_star, grad_star, state.sigma), True
-    return _advance(state, state.theta, state.log_p, state.grad, state.sigma), False
+        return _advance(state, theta_star, log_p_star, grad_star), True
+    return _advance(state, state.theta, state.log_p, state.grad), False
 
 
 class MalaSampler:
@@ -221,9 +221,6 @@ class MalaSampler:
         if eps <= 0:
             raise ValueError("eps must be positive")
         self.eps = eps
-
-    def params_dict(self) -> dict:
-        return {"name": self.name, "eps": self.eps}
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
         prop = langevin_propose(state, target, self.eps, self.eps * self.eps, stream)
@@ -241,9 +238,6 @@ class AdaptiveSampler:
 
     def __init__(self, params: AdaptParams):
         self.params = params
-
-    def params_dict(self) -> dict:
-        return {"name": self.name, **asdict(self.params)}
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
         p = self.params
@@ -265,9 +259,6 @@ class HmcSampler:
     def __init__(self, params: HmcParams):
         self.params = params
 
-    def params_dict(self) -> dict:
-        return {"name": self.name, **asdict(self.params)}
-
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
         return hmc_step(state, self.params, target, stream)
 
@@ -286,7 +277,7 @@ def make_sampler(cfg: Mapping):
 
 
 def run_chain(
-    sampler_cfg,
+    sampler_cfg: Mapping,
     target: TargetDensity,
     n: int,
     burn_in: int,
@@ -304,7 +295,7 @@ def run_chain(
         raise ValueError("n must be at least 1")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    sampler = make_sampler(sampler_cfg) if isinstance(sampler_cfg, Mapping) else sampler_cfg
+    sampler = make_sampler(sampler_cfg)
     stream = split(seed, chain_id)
     state = init_state(target, init)
     d = state.theta.shape[0]
@@ -322,13 +313,9 @@ def run_chain(
     wall = time.perf_counter() - t0
     meta = {
         "sampler": sampler.name,
-        "target": target.name,
         "seed": int(seed),
         "chain_id": int(chain_id),
-        "params": sampler.params_dict(),
-        "n": int(n),
         "burn_in": int(burn_in),
-        "init": [float(v) for v in np.asarray(init, dtype=float)],
         "wall_time_s": wall,
     }
     return Chain(samples=samples, log_ps=log_ps, accepted=accepted, meta=meta)

@@ -6,7 +6,6 @@ Metropolis-Hastings step rejects such proposals naturally.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +32,6 @@ class TargetDensity:
 
     def grad_log_density(self, point) -> np.ndarray:
         raise NotImplementedError
-
-
-@dataclass
-class PhysConstants:
-    """Model-unit physical constants entering the box energy formula."""
-
-    rho: float = 1.0
-    hbar: float = 1.0
-    m: float = 1.0
-
-    def __post_init__(self):
-        if self.rho <= 0 or self.hbar <= 0 or self.m <= 0:
-            raise ValueError("physical constants must be strictly positive")
 
 
 class ParticleBox2D(TargetDensity):
@@ -125,10 +111,10 @@ class ParticleBox2D(TargetDensity):
         gy = gmax if gy > gmax else -gmax if gy < -gmax else gy
         return np.array([gx, gy])
 
-    def energy(self, consts: PhysConstants = PhysConstants()) -> float:
-        """Permitted energy of the (nx, ny) eigenstate; reporting metadata only."""
-        scale = consts.rho**2 * consts.hbar**2 / (2.0 * consts.m)
-        return scale * (self.nx**2 / self.lx**2 + self.ny**2 / self.ly**2)
+    def energy(self) -> float:
+        """Energy of the (nx, ny) eigenstate in model units (hbar = m = rho = 1),
+        (nx^2/Lx^2 + ny^2/Ly^2) / 2; reporting metadata only."""
+        return 0.5 * (self.nx**2 / self.lx**2 + self.ny**2 / self.ly**2)
 
     def _axis_cell_masses(self, n: int, length: float, res: int) -> np.ndarray:
         # exact integral of (2/L) sin^2(n pi x / L) over each cell
@@ -238,17 +224,24 @@ def standard_normal(dim: int = 1) -> GaussianMixture:
     return GaussianMixture([(1.0, np.zeros(dim), np.ones(dim))])
 
 
+def _check_fields(block: dict, what: str, required: tuple, optional: tuple = ()):
+    """Reject a config block with a missing or an unknown field, naming it."""
+    for key in required:
+        if key not in block:
+            raise ValueError(f"{what} is missing field {key!r}")
+    for key in block:
+        if key not in required and key not in optional:
+            raise ValueError(f"{what} has unknown field {key!r}")
+
+
 def make_target(name: str, params: dict) -> TargetDensity:
-    """Build a target from its config block."""
+    """Build a target from its config block (the "name" field is optional)."""
     if name == "particle_box":
-        return ParticleBox2D(
-            lx=params["Lx"],
-            ly=params["Ly"],
-            nx=params["nx"],
-            ny=params["ny"],
-            gmax=params.get("gmax", 1e6),
-        )
+        _check_fields(params, "particle_box target", ("Lx", "Ly", "nx", "ny"), ("name", "gmax"))
+        return ParticleBox2D(params["Lx"], params["Ly"], params["nx"], params["ny"], params.get("gmax", 1e6))
     if name == "gauss_mix":
-        components = [(c["weight"], c["mean"], c["variance"]) for c in params["components"]]
-        return GaussianMixture(components)
+        _check_fields(params, "gauss_mix target", ("components",), ("name",))
+        for i, c in enumerate(params["components"]):
+            _check_fields(c, f"gauss_mix component {i}", ("weight", "mean", "variance"))
+        return GaussianMixture([(c["weight"], c["mean"], c["variance"]) for c in params["components"]])
     raise ValueError(f"unknown target: {name!r}")

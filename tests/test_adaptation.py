@@ -6,7 +6,15 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from amala.adaptation import SQRT_2PI, AdaptParams, psi_draw, ratio_norm_guarded, sigma_update
+from amala.adaptation import (
+    BASE_FLOOR,
+    NORM_FLOOR,
+    SQRT_2PI,
+    AdaptParams,
+    psi_draw,
+    ratio_norm_guarded,
+    sigma_update,
+)
 from amala.rng import split
 
 getcontext().prec = 60
@@ -18,11 +26,11 @@ def sigma_oracle(theta_n, theta_prev, grad_n, grad_prev, psi, params):
     def dnorm(v):
         return sum((Decimal(float(x)) ** 2 for x in v), Decimal(0)).sqrt()
 
-    floor = Decimal(params.norm_floor)
+    floor = Decimal(NORM_FLOOR)
     r_theta = (dnorm(theta_n) / max(dnorm(theta_prev), floor)) ** 2
     r_grad = (dnorm(grad_n) / max(dnorm(grad_prev), floor)) ** 2
     base = Decimal(params.beta) + Decimal(psi) * (r_theta - r_grad)
-    clamped = max(base, Decimal(params.base_floor))
+    clamped = max(base, Decimal(BASE_FLOOR))
     denom = Decimal(1) + (-r_grad).exp()
     return Decimal(params.eps) * clamped ** Decimal(params.xi) / denom
 
@@ -39,8 +47,6 @@ class TestParams:
             {"eps": 0.1, "xi": 0.0},
             {"eps": 0.1, "xi": 1.0},
             {"eps": -0.1},
-            {"eps": 0.1, "base_floor": 0.0},
-            {"eps": 0.1, "norm_floor": -1e-3},
         ],
     )
     def test_invalid(self, kwargs):
@@ -103,14 +109,14 @@ class TestSigmaUpdate:
             if split(s, 0).next_uniform() * (SQRT_2PI + 1.0) > 1.2
         )
         got = sigma_update([0.0], [2.0], [1.5], [1.5], 1.0, params, split(seed, 0))
-        expected = 0.1 * math.sqrt(params.base_floor) / (1.0 + math.exp(-1.0))
+        expected = 0.1 * math.sqrt(BASE_FLOOR) / (1.0 + math.exp(-1.0))
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_zero_grad_prev_uses_norm_floor(self):
         params = AdaptParams(eps=0.2)
         got = sigma_update([1.0], [1.0], [1.0], [0.0], 0.5, params, split(4, 0))
         # r_grad = 1e24: exp underflows, base floors, result eps*sqrt(floor)
-        assert got == pytest.approx(0.2 * math.sqrt(params.base_floor), rel=1e-14)
+        assert got == pytest.approx(0.2 * math.sqrt(BASE_FLOOR), rel=1e-14)
         assert got > 0.0 and math.isfinite(got)
 
     def test_deterministic_given_stream(self):
@@ -164,9 +170,9 @@ class TestSigmaUpdate:
             draw_stream = split(int(sigma_prev * 1e6), 0)
             psi = psi_draw(sigma_prev, draw_stream.clone())
             got = sigma_update(theta_n, theta_prev, grad_n, grad_prev, sigma_prev, params, draw_stream)
-            r_theta = ratio_norm_guarded(theta_n, theta_prev, params.norm_floor) ** 2
-            r_grad = ratio_norm_guarded(grad_n, grad_prev, params.norm_floor) ** 2
-            clamped = max(params.beta + psi * (r_theta - r_grad), params.base_floor)
+            r_theta = ratio_norm_guarded(theta_n, theta_prev, NORM_FLOOR) ** 2
+            r_grad = ratio_norm_guarded(grad_n, grad_prev, NORM_FLOOR) ** 2
+            clamped = max(params.beta + psi * (r_theta - r_grad), BASE_FLOOR)
             cap = params.eps * clamped**params.xi
             assert got > 0.0
             assert cap / 2.0 <= got < cap * (1.0 + 1e-12)

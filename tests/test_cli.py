@@ -24,6 +24,12 @@ MIX_TARGET = {
     "name": "gauss_mix",
     "components": [{"weight": 1.0, "mean": [0.0, 0.0], "variance": [1.0, 1.0]}],
 }
+BOX_WITHOUT_NY = {k: v for k, v in BOX_TARGET.items() if k != "ny"}
+MIX_EXTRA_FIELD = {
+    "name": "gauss_mix",
+    "components": [{"weight": 1.0, "mean": [0.0, 0.0], "variance": [1.0, 1.0], "scale": 2.0}],
+}
+MIX_NO_VARIANCE = {"name": "gauss_mix", "components": [{"weight": 1.0, "mean": [0.0, 0.0]}]}
 
 
 def base_config(**overrides):
@@ -81,6 +87,19 @@ class TestConfig:
             {"init": [0.0, 0.25]},
             {"init": [float("nan"), 0.25]},
             {"target": MIX_TARGET, "init": [0.0, 0.0, 0.0]},
+            {"target": {**BOX_TARGET, "gmx": 10.0}},
+            {"target": BOX_WITHOUT_NY},
+            {"target": MIX_EXTRA_FIELD, "init": [0.0, 0.0]},
+            {"target": MIX_NO_VARIANCE, "init": [0.0, 0.0]},
+            {"target": {**MIX_TARGET, "weights": [1.0]}, "init": [0.0, 0.0]},
+            {"n": 2.5},
+            {"chains": 2.0},
+            {"burn_in": 1.5},
+            {"grid_res": 8.5},
+            {"max_lag": 20.0},
+            {"n": True},
+            {"burn_in": -1},
+            {"max_lag": 0},
         ],
     )
     def test_validation(self, overrides):
@@ -107,7 +126,7 @@ class TestRunExperiment:
         run_experiment(cfg)
         out = tmp_path / "out"
         names = {p.name for p in out.iterdir()}
-        expected = {"manifest.json", "target_grid.csv"}
+        expected = {"manifest.json", "target_grid.csv", "comparison.csv"}
         for s in ("mala", "adaptive"):
             for k in range(2):
                 expected |= {
@@ -120,6 +139,15 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["files"]) == expected - {"manifest.json"} - set(manifest["reports"])
         assert sorted(manifest["reports"]) == manifest["reports"]
+        assert "comparison.csv" in manifest["reports"]
+
+    def test_single_sampler_run_writes_one_comparison_row(self, tmp_path):
+        cfg = ExperimentConfig(
+            **base_config(samplers=[{"name": "mala", "eps": 0.05}], outputs=str(tmp_path / "out"))
+        )
+        run_experiment(cfg)
+        lines = (tmp_path / "out" / "comparison.csv").read_text().strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("mala,")
 
     def test_chain_csv_structure(self, tmp_path):
         cfg = ExperimentConfig(**base_config(outputs=str(tmp_path / "out"), chains=1))
@@ -288,6 +316,23 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: init") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"n": 2.5}, "n"),
+            ({"chains": 2.0}, "chains"),
+            ({"target": {**BOX_TARGET, "gmx": 10.0}}, "gmx"),
+            ({"target": BOX_WITHOUT_NY}, "ny"),
+        ],
+    )
+    def test_bad_field_exits_before_output(self, tmp_path, capsys, overrides, field):
+        cfg_path = write_config(tmp_path, outputs=str(tmp_path / "out"), **overrides)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(field) in err or err.startswith(f"error: {field} ")
         assert not (tmp_path / "out").exists()
 
     def test_grid_on_gauss_target_exits_nonzero(self, tmp_path, capsys):

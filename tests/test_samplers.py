@@ -360,6 +360,7 @@ class TestHmcStep:
         b, acc_b = hmc_step(state, params, NORMAL2, split(6, 1))
         assert acc_a == acc_b
         np.testing.assert_array_equal(a.theta, b.theta)
+        assert a.sigma is None  # HMC makes no Langevin proposal
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -424,6 +425,7 @@ class TestRunChain:
             {"name": "adaptive", "eps": 0.1, "sigma0": 1.0},
             {"name": "hmc", "mass": 1.0},
             {"name": "mala", "eps": 0.1, "beta": 1.0},
+            {"name": "adaptive", "eps": 0.1, "base_floor": 1e-12},
         ],
     )
     def test_unknown_field_rejected(self, cfg):
@@ -431,22 +433,15 @@ class TestRunChain:
             make_sampler(cfg)
 
     def test_full_adaptation_block_round_trips(self):
-        cfg = {
-            "name": "adaptive",
-            "eps": 0.2,
-            "beta": 1.4,
-            "xi": 0.3,
-            "base_floor": 1e-10,
-            "norm_floor": 1e-9,
-        }
-        sampler = make_sampler(cfg)
-        assert sampler.params_dict() == cfg
+        sampler = make_sampler({"name": "adaptive", "eps": 0.2, "beta": 1.4, "xi": 0.3})
+        assert sampler.params == AdaptParams(eps=0.2, beta=1.4, xi=0.3)
 
     def test_meta_contents(self):
         chain = run_chain({"name": "mala", "eps": 0.5}, NORMAL1, 10, 2, [0.0], 13, 2)
         assert chain.meta["sampler"] == "mala"
         assert chain.meta["seed"] == 13 and chain.meta["chain_id"] == 2
-        assert chain.meta["params"] == {"name": "mala", "eps": 0.5}
+        assert chain.meta["burn_in"] == 2
+        assert set(chain.meta) == {"sampler", "seed", "chain_id", "burn_in", "wall_time_s"}
 
 
 class TestGoldenChains:

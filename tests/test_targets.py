@@ -8,7 +8,6 @@ from amala.targets import (
     NEG_INF,
     GaussianMixture,
     ParticleBox2D,
-    PhysConstants,
     make_target,
     standard_normal,
 )
@@ -110,8 +109,8 @@ class TestBoxGradient:
 
 class TestBoxEnergy:
     def test_ground_state_value(self):
-        box = ParticleBox2D(1.0, 1.0, 1, 1)
-        assert box.energy(PhysConstants(rho=1.0, hbar=1.0, m=0.5)) == pytest.approx(2.0)
+        # model units: E = (1/2)(1 + 1)
+        assert ParticleBox2D(1.0, 1.0, 1, 1).energy() == 1.0
 
     def test_degeneracy(self):
         a = ParticleBox2D(1.0, 1.0, 2, 1).energy()
@@ -124,10 +123,6 @@ class TestBoxEnergy:
         # E = (1/2)(nx^2/Lx^2 + ny^2/Ly^2): x-term 9 -> 9/4
         assert base == pytest.approx(0.5 * (9.0 + 1.0))
         assert wide == pytest.approx(0.5 * (9.0 / 4.0 + 1.0))
-
-    def test_invalid_constants(self):
-        with pytest.raises(ValueError):
-            PhysConstants(rho=0.0)
 
 
 class TestAnalyticGrid:
