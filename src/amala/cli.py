@@ -7,8 +7,9 @@ config fields. Every artifact a run produces is deterministic given
 comparison table, so the manifest records content hashes for the
 deterministic files and lists the timing-bearing reports unhashed.
 
-Chains may run in parallel (`--workers`); files and aggregates are ordered
-by (sampler name, chain id), so results are worker-count-independent.
+Chains may run in parallel (`--workers`), each worker writing the files of
+the chains it ran; file contents and aggregates are ordered by (sampler
+name, chain id), so results are worker-count-independent.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be an integer in [0, 2**64)")
         if not self.samplers:
             raise ValueError("config needs at least one sampler block")
@@ -143,15 +145,42 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _chain_job(job):
-    return run_chain(*job)
+def _chain_job(args, out_dir: Path, grid_res: int, max_lag: int):
+    """Run one chain (args is run_chain's argument tuple) and write its chain
+    CSV, diagnostics JSON, ACF CSV and, on a box target, histogram CSV.
+
+    Returns (sampler name, {hashed file name: sha256}, diagnostics file
+    name, report); the chain itself never leaves the worker.
+    """
+    target = args[1]
+    chain = run_chain(*args)
+    name = f"{chain.meta['sampler']}_chain{chain.meta['chain_id']}"
+    hashed = {}
+
+    chain_path = out_dir / f"{name}.csv"
+    _write_chain_csv(chain_path, chain)
+    hashed[chain_path.name] = _sha256(chain_path)
+
+    report = build_report(chain, target, grid_res=grid_res, max_lag=max_lag)
+    diag_path = out_dir / f"{name}_diag.json"
+    _write_text(diag_path, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+
+    acf_path = out_dir / f"{name}_acf.csv"
+    _write_acf_csv(acf_path, report.acf)
+    hashed[acf_path.name] = _sha256(acf_path)
+
+    if isinstance(target, ParticleBox2D):
+        hist_path = out_dir / f"{name}_hist.csv"
+        _write_grid_csv(hist_path, histogram2d(chain.samples, target, grid_res))
+        hashed[hist_path.name] = _sha256(hist_path)
+    return chain.meta["sampler"], hashed, diag_path.name, report
 
 
-def _run_chains(config: ExperimentConfig, workers: int):
-    """Run every (sampler, chain) pair, in (sampler name, chain id) order.
+def _run_chains(config: ExperimentConfig, out_dir: Path, workers: int):
+    """Run _chain_job for every (sampler, chain) pair, in (sampler name,
+    chain id) order; returns the target and the jobs' results.
 
-    Each job is run_chain's argument tuple; a worker process gets the target
-    already built.
+    A worker process gets the target already built.
     """
     target = make_target(config.target.get("name"), config.target)
     init = resolve_init(config, target)
@@ -160,10 +189,11 @@ def _run_chains(config: ExperimentConfig, workers: int):
         for s in sorted(config.samplers, key=lambda s: s["name"])
         for k in range(config.chains)
     ]
+    job = partial(_chain_job, out_dir=out_dir, grid_res=config.grid_res, max_lag=config.max_lag)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return target, list(pool.map(_chain_job, jobs))
-    return target, [_chain_job(job) for job in jobs]
+            return target, list(pool.map(job, jobs))
+    return target, [job(args) for args in jobs]
 
 
 def _comparison_lines(by_sampler: dict) -> list[str]:
@@ -181,8 +211,8 @@ def _comparison_lines(by_sampler: dict) -> list[str]:
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
-    """Run all chains, write per-chain artifacts, the comparison table and
-    the manifest.
+    """Run all chains, each writing its own files (see _chain_job), then
+    write the analytic grid, the comparison table and the manifest.
 
     Returns the manifest exactly as written to manifest.json. Hashed files:
     chain CSVs, ACF CSVs, histogram CSVs and the analytic grid. Diagnostics
@@ -193,32 +223,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
         raise ValueError("workers must be at least 1")
     out_dir = Path(config.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    target, chains = _run_chains(config, workers)
+    target, results = _run_chains(config, out_dir, workers)
     is_box = isinstance(target, ParticleBox2D)
 
     hashed: dict[str, str] = {}
     reports: list[str] = []
     by_sampler: dict[str, list] = {}
-    for chain in chains:
-        name = f"{chain.meta['sampler']}_chain{chain.meta['chain_id']}"
-        chain_path = out_dir / f"{name}.csv"
-        _write_chain_csv(chain_path, chain)
-        hashed[chain_path.name] = _sha256(chain_path)
-
-        report = build_report(chain, target, grid_res=config.grid_res, max_lag=config.max_lag)
-        diag_path = out_dir / f"{name}_diag.json"
-        _write_text(diag_path, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-        reports.append(diag_path.name)
-
-        acf_path = out_dir / f"{name}_acf.csv"
-        _write_acf_csv(acf_path, report.acf)
-        hashed[acf_path.name] = _sha256(acf_path)
-
-        if is_box:
-            hist_path = out_dir / f"{name}_hist.csv"
-            _write_grid_csv(hist_path, histogram2d(chain.samples, target, config.grid_res))
-            hashed[hist_path.name] = _sha256(hist_path)
-        by_sampler.setdefault(chain.meta["sampler"], []).append(report)
+    for sampler, files, diag_name, report in results:
+        hashed.update(files)
+        reports.append(diag_name)
+        by_sampler.setdefault(sampler, []).append(report)
 
     if is_box:
         grid_path = out_dir / "target_grid.csv"

@@ -100,13 +100,15 @@ def mode_coverage(samples, box: ParticleBox2D) -> float:
 
 
 def empirical_fisher(target: TargetDensity, samples) -> np.ndarray:
-    """Monte Carlo estimate of E[score score^T] from samples of the target."""
+    """Monte Carlo estimate of E[score score^T] from samples of the target.
+
+    The scores come from one ``grad_log_density_rows`` call over all the
+    samples, which raises ``ValueError`` if any sample has zero density.
+    """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("samples must be a nonempty n x d matrix")
-    scores = np.empty(pts.shape)
-    for i in range(pts.shape[0]):
-        scores[i] = target.grad_log_density(pts[i])
+    scores = target.grad_log_density_rows(pts)
     return scores.T @ scores / pts.shape[0]
 
 

@@ -37,8 +37,8 @@ def _stream_key(seed: int, stream_id: int) -> int:
 class RngStream:
     """One single-owner random stream identified by (seed, stream_id).
 
-    The counter is the only mutable state; cloning a stream (same seed,
-    stream id and counter) reproduces the exact same sequence.
+    The counter is the only mutable state; a stream rebuilt from the same
+    seed, stream id and counter reproduces the exact same sequence.
     """
 
     seed: int
@@ -49,9 +49,6 @@ class RngStream:
         self.seed &= _MASK64
         self.stream_id &= _MASK64
         self._key = _stream_key(self.seed, self.stream_id)
-
-    def clone(self) -> "RngStream":
-        return RngStream(self.seed, self.stream_id, self.counter)
 
     def next_uniform(self) -> float:
         """Return one double in [0, 1); advances the counter by 1.
@@ -75,9 +72,6 @@ class RngStream:
         u1 = self.next_uniform()
         u2 = self.next_uniform()
         return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(_TWO_PI * u2)
-
-    def uniforms(self, n: int) -> list[float]:
-        return [self.next_uniform() for _ in range(n)]
 
     def normals(self, n: int) -> list[float]:
         return [self.next_normal() for _ in range(n)]

@@ -72,8 +72,8 @@ class HmcParams:
     def __post_init__(self):
         if self.eps_leap <= 0:
             raise ValueError("eps_leap must be positive")
-        if self.n_leap < 1:
-            raise ValueError("n_leap must be at least 1")
+        if isinstance(self.n_leap, bool) or not isinstance(self.n_leap, int) or self.n_leap < 1:
+            raise ValueError(f"n_leap must be an integer >= 1, got {self.n_leap!r}")
 
 
 @dataclass

@@ -15,7 +15,7 @@ from amala.adaptation import (
     ratio_norm_guarded,
     sigma_update,
 )
-from amala.rng import split
+from amala.rng import RngStream, split
 
 getcontext().prec = 60
 
@@ -72,7 +72,7 @@ class TestRatioNormGuarded:
 class TestPsiDraw:
     def test_matches_scaled_uniform(self):
         stream = split(31, 0)
-        u = stream.clone().next_uniform()
+        u = RngStream(stream.seed, stream.stream_id, stream.counter).next_uniform()
         assert psi_draw(2.0, stream) == u * (SQRT_2PI + 2.0)
 
     def test_bounds_with_zero_sigma(self):
@@ -153,7 +153,8 @@ class TestSigmaUpdate:
                 xi=0.1 + 0.8 * stream.next_uniform(),
             )
             draw_stream = split(1000 + case, 0)
-            psi = psi_draw(sigma_prev, draw_stream.clone())
+            replay = RngStream(draw_stream.seed, draw_stream.stream_id, draw_stream.counter)
+            psi = psi_draw(sigma_prev, replay)
             got = sigma_update(theta_n, theta_prev, grad_n, grad_prev, sigma_prev, params, draw_stream)
             want = float(sigma_oracle(theta_n, theta_prev, grad_n, grad_prev, psi, params))
             assert got == pytest.approx(want, rel=1e-12)
@@ -168,7 +169,8 @@ class TestSigmaUpdate:
             grad_prev = np.array(stream.normals(2))
             sigma_prev = abs(stream.next_normal())
             draw_stream = split(int(sigma_prev * 1e6), 0)
-            psi = psi_draw(sigma_prev, draw_stream.clone())
+            replay = RngStream(draw_stream.seed, draw_stream.stream_id, draw_stream.counter)
+            psi = psi_draw(sigma_prev, replay)
             got = sigma_update(theta_n, theta_prev, grad_n, grad_prev, sigma_prev, params, draw_stream)
             r_theta = ratio_norm_guarded(theta_n, theta_prev, NORM_FLOOR) ** 2
             r_grad = ratio_norm_guarded(grad_n, grad_prev, NORM_FLOOR) ** 2

@@ -98,6 +98,9 @@ class TestConfig:
             {"grid_res": 8.5},
             {"max_lag": 20.0},
             {"n": True},
+            {"seed": True},
+            {"samplers": [{"name": "hmc", "eps_leap": 0.05, "n_leap": 2.5}]},
+            {"samplers": [{"name": "hmc", "eps_leap": 0.05, "n_leap": True}]},
             {"burn_in": -1},
             {"max_lag": 0},
         ],
@@ -211,6 +214,22 @@ class TestRunExperiment:
         man_a = run_experiment(cfg_a, workers=1)
         man_b = run_experiment(cfg_b, workers=2)
         assert man_a["files"] == man_b["files"]
+        # the workers also compute the reports: every number but a wall time agrees
+        assert man_a["reports"] == man_b["reports"]
+        for name in man_a["reports"]:
+            if name.endswith("_diag.json"):
+                diag_a = json.loads((tmp_path / "w1" / name).read_text())
+                diag_b = json.loads((tmp_path / "w2" / name).read_text())
+                assert diag_a.pop("wall_time_s") > 0.0 and diag_b.pop("wall_time_s") > 0.0
+                assert diag_a == diag_b
+
+        def table_without_time(out):
+            rows = [row.split(",") for row in (out / "comparison.csv").read_text().splitlines()]
+            col = rows[0].index("mean_time_s")
+            return [row[:col] + row[col + 1 :] for row in rows]
+
+        table = table_without_time(tmp_path / "w1")
+        assert len(table) == 3 and table == table_without_time(tmp_path / "w2")
 
     def test_manifest_hashes_match_files(self, tmp_path):
         import hashlib
@@ -325,6 +344,7 @@ class TestMain:
             ({"chains": 2.0}, "chains"),
             ({"target": {**BOX_TARGET, "gmx": 10.0}}, "gmx"),
             ({"target": BOX_WITHOUT_NY}, "ny"),
+            ({"samplers": [{"name": "hmc", "eps_leap": 0.05, "n_leap": 2.5}]}, "n_leap"),
         ],
     )
     def test_bad_field_exits_before_output(self, tmp_path, capsys, overrides, field):

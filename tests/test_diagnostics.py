@@ -16,6 +16,7 @@ from amala.samplers import Chain, run_chain
 from amala.targets import GaussianMixture, ParticleBox2D, standard_normal
 
 BOX22 = ParticleBox2D(1.0, 1.0, 2, 2)
+MIX_2D = GaussianMixture([(0.3, [-1.0, 0.0], [0.5, 2.0]), (0.7, [1.0, 1.0], [1.0, 1.0])])
 
 
 def acf_brute_force(series, max_lag):
@@ -220,6 +221,18 @@ class TestEmpiricalFisher:
         assert abs(G[0, 1]) < 0.02 * analytic_diag
         assert abs(G[0, 0] - analytic_diag) / analytic_diag < 0.15
         assert abs(G[1, 1] - analytic_diag) / analytic_diag < 0.15
+
+    @pytest.mark.parametrize("target", [BOX22, MIX_2D])
+    def test_matches_per_row_oracle(self, target):
+        rng = np.random.default_rng(12)
+        if isinstance(target, ParticleBox2D):
+            samples = box_oracle_samples(target, 2000, rng)
+        else:
+            samples = rng.normal(size=(2000, 2)) * 2.0
+        scores = np.array([target.grad_log_density(p) for p in samples])
+        oracle = scores.T @ scores / samples.shape[0]
+        G = empirical_fisher(target, samples)
+        np.testing.assert_allclose(G, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
 
 
 class TestBuildReport:

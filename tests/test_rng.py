@@ -7,7 +7,7 @@ from amala.rng import RngStream, split
 
 def test_clone_replays_identical_sequence():
     a = RngStream(seed=123, stream_id=7)
-    b = a.clone()
+    b = RngStream(a.seed, a.stream_id, a.counter)
     assert [a.next_uniform() for _ in range(50)] == [b.next_uniform() for _ in range(50)]
 
 
@@ -20,13 +20,13 @@ def test_same_state_same_value():
 
 def test_uniform_range():
     s = split(2024, 0)
-    draws = s.uniforms(100_000)
+    draws = [s.next_uniform() for _ in range(100_000)]
     assert all(0.0 <= u < 1.0 for u in draws)
 
 
 def test_uniform_mean_and_chi_square():
     s = split(11, 0)
-    draws = np.array(s.uniforms(100_000))
+    draws = np.array([s.next_uniform() for _ in range(100_000)])
     assert 0.49 <= draws.mean() <= 0.51
     counts, _ = np.histogram(draws, bins=64, range=(0.0, 1.0))
     _, p_value = stats.chisquare(counts)
@@ -51,7 +51,7 @@ def test_normal_consumes_two_uniforms():
 
 def test_advanced_clone_diverges():
     a = RngStream(seed=77, stream_id=0)
-    b = a.clone()
+    b = RngStream(a.seed, a.stream_id, a.counter)
     b.next_normal()
     assert a.next_normal() != b.next_normal()
 
@@ -69,11 +69,13 @@ def test_split_first_draws_pairwise_distinct():
 def test_streams_share_no_prefix_of_length_two():
     # same seed, different ids: never two consecutive equal draws in the
     # first 1e4, and the length-2 prefixes of 100 streams are all distinct
-    a = split(3, 0).uniforms(10_000)
-    b = split(3, 1).uniforms(10_000)
+    sa, sb = split(3, 0), split(3, 1)
+    a = [sa.next_uniform() for _ in range(10_000)]
+    b = [sb.next_uniform() for _ in range(10_000)]
     matches = [i for i in range(9_999) if a[i] == b[i] and a[i + 1] == b[i + 1]]
     assert matches == []
-    prefixes = {tuple(split(3, k).uniforms(2)) for k in range(100)}
+    streams = [split(3, k) for k in range(100)]
+    prefixes = {(s.next_uniform(), s.next_uniform()) for s in streams}
     assert len(prefixes) == 100
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from amala.adaptation import AdaptParams, sigma_update
-from amala.rng import split
+from amala.rng import RngStream, split
 from amala.samplers import (
     AdaptiveSampler,
     ChainState,
@@ -74,7 +74,7 @@ class TestMalaPropose:
         target = FlatTarget(2)
         state = init_state(target, [0.4, -0.2])
         stream = split(3, 0)
-        z = np.array(stream.clone().normals(2))
+        z = np.array(RngStream(stream.seed, stream.stream_id, stream.counter).normals(2))
         prop = mala_propose(state, target, 0.5, stream)
         # zero drift: the forward mean is the current point
         np.testing.assert_allclose(prop.theta_star, state.theta + 0.5 * z, rtol=1e-15)
