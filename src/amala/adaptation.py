@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngStream
+from .targets import finite_real
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # floor of the norm-ratio denominators and of the base before its power
@@ -37,8 +38,9 @@ class AdaptParams:
     xi: float = 0.5
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if finite_real(self.eps, "eps") <= 0:
             raise ValueError("eps must be positive")
+        finite_real(self.beta, "beta")
         if not 0.0 < self.xi < 1.0:
             raise ValueError("xi must lie in (0, 1)")
 

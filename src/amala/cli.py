@@ -1,4 +1,4 @@
-"""Experiment CLI: seeded runs, sampler comparisons, analytic grids.
+"""Experiment CLI: seeded runs and sampler comparisons.
 
 One JSON config describes a whole experiment (target, sampler blocks, chain
 count, seed, output directory); `--seed` and `--out` override the matching
@@ -48,8 +48,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be an integer in [0, 2**64)")
-        if not self.samplers:
-            raise ValueError("config needs at least one sampler block")
+        if not isinstance(self.samplers, list) or not self.samplers:
+            raise ValueError("config needs a list of at least one sampler block")
+        for what, block in [("target", self.target)] + [("sampler", s) for s in self.samplers]:
+            if not isinstance(block, dict):
+                raise ValueError(f"{what} block must be a JSON object, got {block!r}")
         names = [s.get("name") for s in self.samplers]
         if len(set(names)) != len(names):
             raise ValueError("sampler names must be unique (files are named by sampler)")
@@ -63,6 +66,10 @@ class ExperimentConfig:
             raise ValueError(f"init has shape {init.shape}, the target expects ({target.dim},)")
         if not np.all(np.isfinite(init)) or target.log_density(init) == NEG_INF:
             raise ValueError(f"init {init.tolist()} is not a finite point of positive target density")
+        # the run uses what was validated; plain attributes, not fields, so
+        # asdict() (the manifest's config block) is the JSON config alone
+        self.target_density = target
+        self.init_point = init
 
 
 def load_config(path, seed=None, out=None) -> ExperimentConfig:
@@ -176,26 +183,6 @@ def _chain_job(args, out_dir: Path, grid_res: int, max_lag: int):
     return chain.meta["sampler"], hashed, diag_path.name, report
 
 
-def _run_chains(config: ExperimentConfig, out_dir: Path, workers: int):
-    """Run _chain_job for every (sampler, chain) pair, in (sampler name,
-    chain id) order; returns the target and the jobs' results.
-
-    A worker process gets the target already built.
-    """
-    target = make_target(config.target.get("name"), config.target)
-    init = resolve_init(config, target)
-    jobs = [
-        (s, target, config.n, config.burn_in, init, config.seed, k)
-        for s in sorted(config.samplers, key=lambda s: s["name"])
-        for k in range(config.chains)
-    ]
-    job = partial(_chain_job, out_dir=out_dir, grid_res=config.grid_res, max_lag=config.max_lag)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return target, list(pool.map(job, jobs))
-    return target, [job(args) for args in jobs]
-
-
 def _comparison_lines(by_sampler: dict) -> list[str]:
     """One row per sampler name, each column a mean over its chains' reports."""
     lines = ["sampler,mean_time_s,acceptance_rate,min_ess,tv_distance,mode_coverage"]
@@ -223,7 +210,20 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
         raise ValueError("workers must be at least 1")
     out_dir = Path(config.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    target, results = _run_chains(config, out_dir, workers)
+    target = config.target_density
+    # one job per (sampler, chain) in (sampler name, chain id) order; a
+    # worker process gets the target already built
+    jobs = [
+        (s, target, config.n, config.burn_in, config.init_point, config.seed, k)
+        for s in sorted(config.samplers, key=lambda s: s["name"])
+        for k in range(config.chains)
+    ]
+    job = partial(_chain_job, out_dir=out_dir, grid_res=config.grid_res, max_lag=config.max_lag)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(job, jobs))
+    else:
+        results = [job(args) for args in jobs]
     is_box = isinstance(target, ParticleBox2D)
 
     hashed: dict[str, str] = {}
@@ -264,41 +264,22 @@ def compare_samplers(config: ExperimentConfig, workers: int = 1) -> Path:
     return Path(config.outputs) / "comparison.csv"
 
 
-def emit_grid(config: ExperimentConfig) -> Path:
-    """Write the analytic cell-mass grid for a box target."""
-    target = make_target(config.target.get("name"), config.target)
-    if not isinstance(target, ParticleBox2D):
-        raise ValueError("grid output is only defined for the particle_box target")
-    out_dir = Path(config.outputs)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "target_grid.csv"
-    _write_grid_csv(path, target.analytic_grid(config.grid_res))
-    return path
-
-
-def _add_common(parser):
-    parser.add_argument("--config", required=True, help="experiment config JSON")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--out", default=None, help="override output directory")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="amala", description="Langevin/HMC sampling experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in ("run", "compare"):
         p = sub.add_parser(cmd)
-        _add_common(p)
+        p.add_argument("--config", required=True, help="experiment config JSON")
+        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--workers", type=int, default=1, help="parallel chains")
-    _add_common(sub.add_parser("grid"))
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, seed=args.seed, out=args.out)
         if args.command == "run":
             run_experiment(config, workers=args.workers)
-        elif args.command == "compare":
-            compare_samplers(config, workers=args.workers)
         else:
-            emit_grid(config)
+            compare_samplers(config, workers=args.workers)
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

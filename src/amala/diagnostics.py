@@ -38,9 +38,12 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
 
 def ess(series) -> float:
     """Effective sample size, clamped to (0, n]."""
-    x = np.asarray(series, dtype=float)
-    n = x.shape[0]
-    rho = autocorrelation(x, n - 1)
+    return _ess_from_acf(autocorrelation(series, len(series) - 1))
+
+
+def _ess_from_acf(rho: np.ndarray) -> float:
+    """ess of an n-point series from its full autocorrelation rho[0..n-1]."""
+    n = rho.shape[0]
     pair = rho[1:-1] + rho[2:]
     negative = np.nonzero(pair < 0.0)[0]
     cutoff = int(negative[0]) + 1 if negative.size else n - 1
@@ -142,9 +145,15 @@ def build_report(chain, target: TargetDensity, grid_res: int = 32, max_lag: int 
     n, d = samples.shape
     if np.any(chain.log_ps == NEG_INF):
         raise ValueError("chain occupies a zero-density point: invariant violated")
-    lag = min(max_lag, n - 1)
-    acf = np.vstack([autocorrelation(samples[:, j], lag) for j in range(d)])
-    ess_vec = np.array([ess(samples[:, j]) for j in range(d)])
+    # one full-length ACF per dimension serves the reported lags and the
+    # ESS; each is freed before the next is computed
+    acf = np.empty((d, min(max_lag, n - 1) + 1))
+    ess_vec = np.empty(d)
+    for j in range(d):
+        rho = autocorrelation(samples[:, j], n - 1)
+        acf[j] = rho[: acf.shape[1]]
+        ess_vec[j] = _ess_from_acf(rho)
+        del rho
     tv = coverage = None
     if isinstance(target, ParticleBox2D):
         hist = histogram2d(samples, target, grid_res)

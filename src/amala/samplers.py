@@ -27,7 +27,7 @@ import numpy as np
 
 from .adaptation import AdaptParams, sigma_update
 from .rng import RngStream, split
-from .targets import NEG_INF, TargetDensity
+from .targets import NEG_INF, TargetDensity, finite_real
 
 
 @dataclass
@@ -70,7 +70,7 @@ class HmcParams:
     n_leap: int = 20
 
     def __post_init__(self):
-        if self.eps_leap <= 0:
+        if finite_real(self.eps_leap, "eps_leap") <= 0:
             raise ValueError("eps_leap must be positive")
         if isinstance(self.n_leap, bool) or not isinstance(self.n_leap, int) or self.n_leap < 1:
             raise ValueError(f"n_leap must be an integer >= 1, got {self.n_leap!r}")
@@ -164,41 +164,46 @@ def mh_accept(state: ChainState, prop: Proposal, stream: RngStream) -> tuple[Cha
 
 
 def leapfrog(
-    theta, momentum, params: HmcParams, target: TargetDensity
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """n_leap leapfrog iterations (half-kick, drift, half-kick).
+    theta, momentum, grad, params: HmcParams, target: TargetDensity
+) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray | None]:
+    """n_leap leapfrog iterations (half-kick, drift, half-kick) from theta,
+    whose log-density gradient grad the caller already holds.
 
-    Returns (theta, momentum, diverged); diverged flags a trajectory that
-    drifted onto a zero-density point, where the gradient is undefined.
-    Only the gradient is evaluated along the trajectory: by the
-    TargetDensity contract it raises ValueError exactly at zero-density
-    points. The loop runs on float lists, which is the same sequence of
-    IEEE operations as the vector form and avoids numpy call overhead on
+    Returns (theta, momentum, diverged, grad at the returned theta), so a
+    trajectory evaluates at most n_leap gradients and nothing else.
+    diverged flags a trajectory that drifted onto a zero-density point,
+    where by the TargetDensity contract the gradient raises ValueError;
+    the returned grad is then None. The loop runs on float lists: the same
+    IEEE operations as the vector form, without numpy call overhead on
     short vectors.
     """
     eps = params.eps_leap
     half = 0.5 * eps
     theta = np.asarray(theta, dtype=float).tolist()
     p = np.asarray(momentum, dtype=float).tolist()
-    grad = target.grad_log_density(theta).tolist()
+    grad = np.asarray(grad, dtype=float).tolist()
     for _ in range(params.n_leap):
         p = [a + half * b for a, b in zip(p, grad)]
         theta = [a + eps * b for a, b in zip(theta, p)]
         try:
             grad = target.grad_log_density(theta).tolist()
         except ValueError:
-            return np.array(theta), np.array(p), True
+            return np.array(theta), np.array(p), True, None
         p = [a + half * b for a, b in zip(p, grad)]
-    return np.array(theta), np.array(p), False
+    return np.array(theta), np.array(p), False, np.array(grad)
 
 
 def hmc_step(
     state: ChainState, params: HmcParams, target: TargetDensity, stream: RngStream
 ) -> tuple[ChainState, bool]:
-    """One HMC transition: momentum refresh, leapfrog, energy-error accept."""
+    """One HMC transition: momentum refresh, leapfrog, energy-error accept.
+
+    Leapfrog starts from the cached state.grad and an accepted state keeps
+    its last gradient: a step costs n_leap gradients and one log density.
+    """
     d = state.theta.shape[0]
     p0 = np.array(stream.normals(d))
-    theta_star, p_star, diverged = leapfrog(state.theta, p0, params, target)
+    theta_star, p_star, diverged, grad_star = leapfrog(state.theta, p0, state.grad, params, target)
     if diverged:
         return _advance(state, state.theta, state.log_p, state.grad), False
     log_p_star = target.log_density(theta_star)
@@ -207,7 +212,6 @@ def hmc_step(
     log_alpha = h_old - h_new
     u = stream.next_uniform()
     if log_alpha >= 0.0 or u < math.exp(log_alpha):
-        grad_star = target.grad_log_density(theta_star)
         return _advance(state, theta_star, log_p_star, grad_star), True
     return _advance(state, state.theta, state.log_p, state.grad), False
 
@@ -218,7 +222,7 @@ class MalaSampler:
     name = "mala"
 
     def __init__(self, eps: float):
-        if eps <= 0:
+        if finite_real(eps, "eps") <= 0:
             raise ValueError("eps must be positive")
         self.eps = eps
 

@@ -6,10 +6,23 @@ Metropolis-Hastings step rejects such proposals naturally.
 """
 
 import math
+from numbers import Real
 
 import numpy as np
 
 NEG_INF = float("-inf")
+
+
+def finite_real(value, what: str) -> float:
+    """value as a float; a bool, a non-number, NaN or infinity raises ValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _finite_vector(values, what: str) -> np.ndarray:
+    # dtype=object keeps each element's own type: a bool among floats is still seen
+    return np.array([finite_real(v, what) for v in np.asarray(values, dtype=object).ravel()])
 
 
 class TargetDensity:
@@ -69,11 +82,12 @@ class ParticleBox2D(TargetDensity):
     dim = 2
 
     def __init__(self, lx: float, ly: float, nx: int, ny: int, gmax: float = 1e6):
-        if lx <= 0 or ly <= 0:
+        if finite_real(lx, "Lx") <= 0 or finite_real(ly, "Ly") <= 0:
             raise ValueError("box side lengths must be positive")
-        if nx < 1 or ny < 1 or nx != int(nx) or ny != int(ny):
-            raise ValueError("quantum numbers must be integers >= 1")
-        if gmax <= 0:
+        for value, what in ((nx, "nx"), (ny, "ny")):
+            if finite_real(value, what) < 1 or value != int(value):
+                raise ValueError("quantum numbers must be integers >= 1")
+        if finite_real(gmax, "gmax") <= 0:
             raise ValueError("gmax must be positive")
         self.lx = float(lx)
         self.ly = float(ly)
@@ -199,9 +213,9 @@ class GaussianMixture(TargetDensity):
     def __init__(self, components):
         if not components:
             raise ValueError("mixture needs at least one component")
-        weights = np.array([float(c[0]) for c in components])
-        means = np.array([np.asarray(c[1], dtype=float).ravel() for c in components])
-        variances = np.array([np.asarray(c[2], dtype=float).ravel() for c in components])
+        weights = np.array([finite_real(c[0], f"component {i} weight") for i, c in enumerate(components)])
+        means = np.array([_finite_vector(c[1], f"component {i} mean") for i, c in enumerate(components)])
+        variances = np.array([_finite_vector(c[2], f"component {i} variance") for i, c in enumerate(components)])
         if np.any(weights <= 0):
             raise ValueError("component weights must be positive")
         if np.any(variances <= 0):

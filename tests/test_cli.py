@@ -10,7 +10,6 @@ from amala.cli import (
     ExperimentConfig,
     _write_chain_csv,
     compare_samplers,
-    emit_grid,
     load_config,
     main,
     resolve_init,
@@ -30,6 +29,14 @@ MIX_EXTRA_FIELD = {
     "components": [{"weight": 1.0, "mean": [0.0, 0.0], "variance": [1.0, 1.0], "scale": 2.0}],
 }
 MIX_NO_VARIANCE = {"name": "gauss_mix", "components": [{"weight": 1.0, "mean": [0.0, 0.0]}]}
+NAN = float("nan")
+INF = float("inf")
+
+
+def mixture(**second):
+    """A two-component 2D mixture whose second component takes the given fields."""
+    component = {"weight": 0.5, "mean": [0.0, 0.0], "variance": [1.0, 1.0]}
+    return {"name": "gauss_mix", "components": [component, {**component, **second}]}
 
 
 def base_config(**overrides):
@@ -103,6 +110,25 @@ class TestConfig:
             {"samplers": [{"name": "hmc", "eps_leap": 0.05, "n_leap": True}]},
             {"burn_in": -1},
             {"max_lag": 0},
+            {"samplers": [{"name": "mala", "eps": NAN}]},
+            {"samplers": [{"name": "mala", "eps": True}]},
+            {"samplers": [{"name": "adaptive", "eps": INF}]},
+            {"samplers": [{"name": "adaptive", "eps": 0.1, "beta": NAN}]},
+            {"samplers": [{"name": "adaptive", "eps": 0.1, "beta": True}]},
+            {"samplers": [{"name": "hmc", "eps_leap": NAN, "n_leap": 3}]},
+            {"samplers": [{"name": "hmc", "eps_leap": INF, "n_leap": 3}]},
+            {"target": {**BOX_TARGET, "Lx": INF}},
+            {"target": {**BOX_TARGET, "nx": True}},
+            {"target": {**BOX_TARGET, "gmax": NAN}},
+            {"target": {**BOX_TARGET, "gmax": INF}},
+            {"target": mixture(weight=NAN), "init": [0.0, 0.0]},
+            {"target": mixture(weight=True), "init": [0.0, 0.0]},
+            {"target": mixture(mean=[INF, 0.0]), "init": [0.0, 0.0]},
+            {"target": mixture(mean=[True, 0.0]), "init": [0.0, 0.0]},
+            {"target": mixture(variance=[1.0, NAN]), "init": [0.0, 0.0]},
+            {"samplers": ["mala"]},
+            {"samplers": {"name": "mala", "eps": 0.1}},
+            {"target": "particle_box"},
         ],
     )
     def test_validation(self, overrides):
@@ -276,32 +302,24 @@ class TestCompare:
 
 
 class TestGrid:
+    """The analytic target_grid.csv that every box run writes."""
+
+    @staticmethod
+    def grid_of_run(tmp_path, **overrides):
+        cfg = ExperimentConfig(**base_config(outputs=str(tmp_path / "out"), chains=1, n=20, **overrides))
+        run_experiment(cfg)
+        lines = (tmp_path / "out" / "target_grid.csv").read_text().strip().split("\n")
+        return [[float(v) for v in line.split(",")] for line in lines]
+
     def test_shape_and_normalization(self, tmp_path):
-        cfg = ExperimentConfig(**base_config(outputs=str(tmp_path / "out"), grid_res=32))
-        path = emit_grid(cfg)
-        rows = [line.split(",") for line in path.read_text().strip().split("\n")]
+        rows = self.grid_of_run(tmp_path, grid_res=32)
         assert len(rows) == 32 and all(len(r) == 32 for r in rows)
-        total = sum(float(v) for row in rows for v in row)
-        assert abs(total - 1.0) < 1e-9
+        assert abs(sum(map(sum, rows)) - 1.0) < 1e-9
 
     def test_ground_state_res2(self, tmp_path):
-        cfg = ExperimentConfig(
-            **base_config(
-                target={"name": "particle_box", "Lx": 1.0, "Ly": 1.0, "nx": 1, "ny": 1},
-                grid_res=2,
-                outputs=str(tmp_path / "out"),
-            )
-        )
-        path = emit_grid(cfg)
-        values = [float(v) for line in path.read_text().strip().split("\n") for v in line.split(",")]
-        np.testing.assert_allclose(values, [0.25] * 4, atol=1e-12)
-
-    def test_non_box_target_rejected(self, tmp_path):
-        cfg = ExperimentConfig(
-            **base_config(target=MIX_TARGET, init=[0.0, 0.0], outputs=str(tmp_path / "o"))
-        )
-        with pytest.raises(ValueError):
-            emit_grid(cfg)
+        box11 = {"name": "particle_box", "Lx": 1.0, "Ly": 1.0, "nx": 1, "ny": 1}
+        rows = self.grid_of_run(tmp_path, target=box11, grid_res=2)
+        np.testing.assert_allclose(rows, [[0.25, 0.25], [0.25, 0.25]], atol=1e-12)
 
 
 class TestMain:
@@ -345,6 +363,13 @@ class TestMain:
             ({"target": {**BOX_TARGET, "gmx": 10.0}}, "gmx"),
             ({"target": BOX_WITHOUT_NY}, "ny"),
             ({"samplers": [{"name": "hmc", "eps_leap": 0.05, "n_leap": 2.5}]}, "n_leap"),
+            ({"samplers": [{"name": "mala", "eps": NAN}]}, "eps"),
+            ({"samplers": [{"name": "hmc", "eps_leap": NAN, "n_leap": 3}]}, "eps_leap"),
+            ({"target": {**BOX_TARGET, "gmax": NAN}}, "gmax"),
+            ({"target": {**BOX_TARGET, "nx": True}}, "nx"),
+            ({"target": {**BOX_TARGET, "Lx": INF}}, "Lx"),
+            ({"samplers": ["mala"]}, "sampler block"),
+            ({"target": "particle_box"}, "target block"),
         ],
     )
     def test_bad_field_exits_before_output(self, tmp_path, capsys, overrides, field):
@@ -355,19 +380,15 @@ class TestMain:
         assert repr(field) in err or err.startswith(f"error: {field} ")
         assert not (tmp_path / "out").exists()
 
-    def test_grid_on_gauss_target_exits_nonzero(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, target=MIX_TARGET, init=[0.0, 0.0])
-        assert main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
-        assert "error:" in capsys.readouterr().err
-
     def test_module_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path, outputs=str(tmp_path / "out"), chains=1, n=20)
         proc = subprocess.run(
-            [sys.executable, "-m", "amala.cli", "grid", "--config", str(cfg_path)],
+            [sys.executable, "-m", "amala.cli", "run", "--config", str(cfg_path)],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0
+        assert (tmp_path / "out" / "manifest.json").exists()
         proc = subprocess.run(
             [sys.executable, "-m", "amala.cli", "run", "--config", "/nonexistent.json"],
             capture_output=True,

@@ -248,6 +248,18 @@ class TestBuildReport:
         assert report.fisher_trace is not None and report.fisher_trace > 0
         assert report.wall_time_s > 0
 
+    @pytest.mark.parametrize("max_lag", [5, 200, 10_000])
+    def test_acf_and_ess_match_per_column_calls(self, max_lag):
+        # one full-length ACF per dimension serves both; the bits must
+        # equal the separate autocorrelation and ess calls
+        chain = run_chain({"name": "mala", "eps": 0.8}, MIX_2D, 400, 20, [1.0, 1.0], 4, 0)
+        report = build_report(chain, MIX_2D, max_lag=max_lag)
+        lag = min(max_lag, 399)
+        for j in range(2):
+            column = chain.samples[:, j]
+            assert report.ess[j] == ess(column)
+            assert report.acf[j].tolist() == autocorrelation(column, lag).tolist()
+
     def test_gauss_chain_report_has_no_box_fields(self):
         target = standard_normal(1)
         chain = run_chain({"name": "mala", "eps": 0.5}, target, 500, 50, [0.0], 2, 0)
