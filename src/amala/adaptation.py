@@ -41,7 +41,7 @@ class AdaptParams:
         if finite_real(self.eps, "eps") <= 0:
             raise ValueError("eps must be positive")
         finite_real(self.beta, "beta")
-        if not 0.0 < self.xi < 1.0:
+        if not 0.0 < finite_real(self.xi, "xi") < 1.0:
             raise ValueError("xi must lie in (0, 1)")
 
 

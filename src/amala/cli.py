@@ -42,7 +42,7 @@ class ExperimentConfig:
     max_lag: int = 200
 
     def __post_init__(self):
-        for name, low in (("n", 1), ("burn_in", 0), ("chains", 1), ("grid_res", 2), ("max_lag", 1)):
+        for name, low in (("n", 2), ("burn_in", 0), ("chains", 1), ("grid_res", 2), ("max_lag", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -70,6 +70,19 @@ class ExperimentConfig:
         # asdict() (the manifest's config block) is the JSON config alone
         self.target_density = target
         self.init_point = init
+
+    def __setattr__(self, name, value):
+        """A field assigned after construction is validated with the rest,
+        and target_density/init_point are rebuilt; a rejected value raises
+        as it would at construction and leaves the config as it was."""
+        old = self.__dict__.get(name)
+        super().__setattr__(name, value)
+        if name in self.__dataclass_fields__ and "init_point" in self.__dict__:
+            try:
+                self.__post_init__()
+            except Exception:
+                super().__setattr__(name, old)
+                raise
 
 
 def load_config(path, seed=None, out=None) -> ExperimentConfig:

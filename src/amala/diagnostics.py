@@ -102,17 +102,13 @@ def mode_coverage(samples, box: ParticleBox2D) -> float:
     return float((counts >= threshold).sum() / n_basins)
 
 
-def empirical_fisher(target: TargetDensity, samples) -> np.ndarray:
-    """Monte Carlo estimate of E[score score^T] from samples of the target.
-
-    The scores come from one ``grad_log_density_rows`` call over all the
-    samples, which raises ``ValueError`` if any sample has zero density.
-    """
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("samples must be a nonempty n x d matrix")
-    scores = target.grad_log_density_rows(pts)
-    return scores.T @ scores / pts.shape[0]
+def empirical_fisher(scores) -> np.ndarray:
+    """Monte Carlo estimate of E[score score^T] from the scores (log-density
+    gradients) at samples of the target, one row per sample."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 2 or scores.shape[0] == 0:
+        raise ValueError("scores must be a nonempty n x d matrix")
+    return scores.T @ scores / scores.shape[0]
 
 
 @dataclass
@@ -140,17 +136,23 @@ class DiagnosticsReport:
 
 
 def build_report(chain, target: TargetDensity, grid_res: int = 32, max_lag: int = 200) -> DiagnosticsReport:
-    """Assemble the full report for one finished chain."""
+    """Assemble the full report for one finished chain.
+
+    A dimension in which the chain never moved has ACF 1 at every lag.
+    """
     samples = chain.samples
     n, d = samples.shape
     if np.any(chain.log_ps == NEG_INF):
         raise ValueError("chain occupies a zero-density point: invariant violated")
+    if n < 2:
+        raise ValueError("a report needs at least 2 samples")
     # one full-length ACF per dimension serves the reported lags and the
     # ESS; each is freed before the next is computed
     acf = np.empty((d, min(max_lag, n - 1) + 1))
     ess_vec = np.empty(d)
     for j in range(d):
-        rho = autocorrelation(samples[:, j], n - 1)
+        column = samples[:, j]
+        rho = np.ones(n) if np.all(column == column[0]) else autocorrelation(column, n - 1)
         acf[j] = rho[: acf.shape[1]]
         ess_vec[j] = _ess_from_acf(rho)
         del rho
@@ -159,7 +161,7 @@ def build_report(chain, target: TargetDensity, grid_res: int = 32, max_lag: int 
         hist = histogram2d(samples, target, grid_res)
         tv = tv_distance(hist, target.analytic_grid(grid_res))
         coverage = mode_coverage(samples, target)
-    fisher_trace = float(np.trace(empirical_fisher(target, samples)))
+    fisher_trace = float(np.trace(empirical_fisher(chain.scores)))
     return DiagnosticsReport(
         acf=acf,
         ess=ess_vec,

@@ -78,11 +78,16 @@ class HmcParams:
 
 @dataclass
 class Chain:
-    """Post-burn-in samples of one chain plus run metadata."""
+    """Post-burn-in samples of one chain plus run metadata.
+
+    scores[j] is the log-density gradient at samples[j], the one the
+    kernel itself evaluated there.
+    """
 
     samples: np.ndarray
     log_ps: np.ndarray
     accepted: np.ndarray
+    scores: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
@@ -305,6 +310,7 @@ def run_chain(
     d = state.theta.shape[0]
     samples = np.empty((n, d))
     log_ps = np.empty(n)
+    scores = np.empty((n, d))
     accepted = np.empty(n, dtype=bool)
     t0 = time.perf_counter()
     for i in range(burn_in + n):
@@ -313,6 +319,7 @@ def run_chain(
             j = i - burn_in
             samples[j] = state.theta
             log_ps[j] = state.log_p
+            scores[j] = state.grad
             accepted[j] = acc
     wall = time.perf_counter() - t0
     meta = {
@@ -322,4 +329,4 @@ def run_chain(
         "burn_in": int(burn_in),
         "wall_time_s": wall,
     }
-    return Chain(samples=samples, log_ps=log_ps, accepted=accepted, meta=meta)
+    return Chain(samples=samples, log_ps=log_ps, accepted=accepted, scores=scores, meta=meta)

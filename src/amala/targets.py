@@ -35,11 +35,6 @@ class TargetDensity:
     exactly where ``log_density`` is -inf. HMC's leapfrog relies on that:
     it evaluates only the gradient along a trajectory and treats the
     ``ValueError`` as a divergence.
-
-    ``grad_log_density_rows`` is the gradient of each row of an (n, dim)
-    matrix. The default loops over ``grad_log_density``; a target may
-    override it with one vectorized pass for speed, under the same
-    contract: it raises ``ValueError`` if any row has zero density.
     """
 
     name = "target"
@@ -50,19 +45,6 @@ class TargetDensity:
 
     def grad_log_density(self, point) -> np.ndarray:
         raise NotImplementedError
-
-    def grad_log_density_rows(self, points) -> np.ndarray:
-        pts = self._check_rows(points)
-        grads = np.empty(pts.shape)
-        for i in range(pts.shape[0]):
-            grads[i] = self.grad_log_density(pts[i])
-        return grads
-
-    def _check_rows(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(f"points have shape {pts.shape}, target expects (n, {self.dim})")
-        return pts
 
 
 class ParticleBox2D(TargetDensity):
@@ -143,24 +125,6 @@ class ParticleBox2D(TargetDensity):
         gy = gmax if gy > gmax else -gmax if gy < -gmax else gy
         return np.array([gx, gy])
 
-    def grad_log_density_rows(self, points) -> np.ndarray:
-        """grad_log_density of every row in one numpy pass.
-
-        Each zero-density test runs before the values it guards are
-        computed, so no row divides by zero or overflows.
-        """
-        pts = self._check_rows(points)
-        if np.any((pts <= 0.0) | (pts >= [self.lx, self.ly])):
-            raise ValueError("gradient requested at a zero-density point")
-        t = pts * [self.nx, self.ny] / [self.lx, self.ly]
-        if np.any(t == np.floor(t)):
-            raise ValueError("gradient requested at a zero-density point")
-        u = math.pi * t
-        s = np.sin(u)
-        if np.any(s == 0.0):
-            raise ValueError("gradient requested at a zero-density point")
-        return np.clip([self._kx, self._ky] * (np.cos(u) / s), -self.gmax, self.gmax)
-
     def energy(self) -> float:
         """Energy of the (nx, ny) eigenstate in model units (hbar = m = rho = 1),
         (nx^2/Lx^2 + ny^2/Ly^2) / 2; reporting metadata only."""
@@ -237,9 +201,8 @@ class GaussianMixture(TargetDensity):
         return point
 
     def _component_log_densities(self, point: np.ndarray) -> np.ndarray:
-        """Per-component log terms; a (n, 1, dim) stack of points gives (n, components)."""
         diff = point - self.means
-        return self._log_weights + self._log_norms - 0.5 * np.sum(diff * diff / self.variances, axis=-1)
+        return self._log_weights + self._log_norms - 0.5 * np.sum(diff * diff / self.variances, axis=1)
 
     def log_density(self, point) -> float:
         point = self._check_point(point)
@@ -268,24 +231,6 @@ class GaussianMixture(TargetDensity):
         resp /= resp.sum()
         scores = -(point - self.means) / self.variances
         return resp @ scores
-
-    def grad_log_density_rows(self, points) -> np.ndarray:
-        """grad_log_density of every row in one numpy pass, with the same
-        arithmetic per row as the one-point path."""
-        pts = self._check_rows(points)
-        diff = pts[:, None, :] - self.means  # (n, components, dim)
-        scaled = diff / self.variances
-        if len(self.weights) == 1:
-            if np.any(np.sum(scaled * diff, axis=2) == math.inf):
-                raise ValueError("gradient requested at a zero-density point")
-            return -scaled[:, 0]
-        logs = self._component_log_densities(pts[:, None, :])
-        shift = logs.max(axis=1, keepdims=True)
-        if np.any(shift == NEG_INF):
-            raise ValueError("gradient requested at a zero-density point")
-        resp = np.exp(logs - shift)
-        resp /= resp.sum(axis=1, keepdims=True)
-        return (resp[:, None, :] @ -scaled)[:, 0]
 
 
 def standard_normal(dim: int = 1) -> GaussianMixture:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,6 +130,8 @@ class TestConfig:
             {"samplers": ["mala"]},
             {"samplers": {"name": "mala", "eps": 0.1}},
             {"target": "particle_box"},
+            {"n": 1},
+            {"samplers": [{"name": "adaptive", "eps": 0.1, "xi": "0.5"}]},
         ],
     )
     def test_validation(self, overrides):
@@ -143,10 +146,34 @@ class TestConfig:
         np.testing.assert_allclose(resolve_init(cfg, mix), [0.0, 0.0])
         vec = ExperimentConfig(**base_config(init=[0.3, 0.4]))
         np.testing.assert_allclose(resolve_init(vec, box), [0.3, 0.4])
-        bad = ExperimentConfig(**base_config())
-        bad.init = "somewhere"
+        # a config cannot hold an unknown spec, so hand resolve_init a stand-in
         with pytest.raises(ValueError):
-            resolve_init(bad, box)
+            resolve_init(SimpleNamespace(init="somewhere"), box)
+
+    def test_reassigned_target_is_rebuilt(self):
+        cfg = ExperimentConfig(**base_config())
+        cfg.target = {**BOX_TARGET, "nx": 1, "ny": 1}
+        assert cfg.target_density.nx == 1
+        np.testing.assert_array_equal(cfg.init_point, [0.5, 0.5])
+        cfg.init = [0.3, 0.4]
+        np.testing.assert_array_equal(cfg.init_point, [0.3, 0.4])
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("target", {"name": "banana"}), ("init", [0.5, 0.25]), ("n", 1), ("samplers", [])],
+    )
+    def test_bad_reassignment_raises_and_keeps_config(self, field, value):
+        cfg = ExperimentConfig(**base_config())
+        before = (getattr(cfg, field), cfg.target_density, cfg.init_point)
+        with pytest.raises(ValueError):
+            setattr(cfg, field, value)
+        assert (getattr(cfg, field), cfg.target_density, cfg.init_point) == before
+
+    def test_outputs_assignment(self, tmp_path):
+        cfg = ExperimentConfig(**base_config())
+        cfg.outputs = str(tmp_path / "elsewhere")
+        assert run_experiment(cfg)["config"]["outputs"] == str(tmp_path / "elsewhere")
+        assert (tmp_path / "elsewhere" / "manifest.json").exists()
 
 
 class TestRunExperiment:
@@ -194,7 +221,7 @@ class TestRunExperiment:
         samples = np.resize(np.array(awkward), (n, 3))
         log_ps = np.resize(np.array(awkward[::-1]), n)
         accepted = np.arange(n) % 3 == 0
-        chain = Chain(samples=samples, log_ps=log_ps, accepted=accepted, meta={"burn_in": 7})
+        chain = Chain(samples=samples, log_ps=log_ps, accepted=accepted, scores=samples, meta={"burn_in": 7})
         lines = ["step,x0,x1,x2,log_p,accepted"]
         for i in range(n):
             coords = ",".join(repr(float(v)) for v in samples[i])
@@ -370,6 +397,8 @@ class TestMain:
             ({"target": {**BOX_TARGET, "Lx": INF}}, "Lx"),
             ({"samplers": ["mala"]}, "sampler block"),
             ({"target": "particle_box"}, "target block"),
+            ({"n": 1}, "n"),
+            ({"samplers": [{"name": "adaptive", "eps": 0.1, "xi": "0.5"}]}, "xi"),
         ],
     )
     def test_bad_field_exits_before_output(self, tmp_path, capsys, overrides, field):
@@ -379,6 +408,22 @@ class TestMain:
         assert err.startswith("error:") and err.count("\n") == 1
         assert repr(field) in err or err.startswith(f"error: {field} ")
         assert not (tmp_path / "out").exists()
+
+    def test_chain_that_never_moves_completes(self, tmp_path):
+        # every proposal at eps 500 leaves the box, so the chain stays at its start
+        cfg_path = write_config(tmp_path, outputs=str(tmp_path / "out"), samplers=[{"name": "mala", "eps": 500.0}])
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        chain_files = {f"mala_chain{k}{suffix}" for k in range(2) for suffix in (".csv", "_acf.csv", "_hist.csv")}
+        assert {p.name for p in out.iterdir()} == chain_files | {
+            "target_grid.csv",
+            "mala_chain0_diag.json",
+            "mala_chain1_diag.json",
+            "comparison.csv",
+            "manifest.json",
+        }
+        for k in range(2):
+            assert json.loads((out / f"mala_chain{k}_diag.json").read_text())["acceptance_rate"] == 0.0
 
     def test_module_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path, outputs=str(tmp_path / "out"), chains=1, n=20)

@@ -31,6 +31,11 @@ def acf_brute_force(series, max_lag):
     return np.array(out)
 
 
+def scores_at(target, samples):
+    """The target's own grad_log_density at every sample, stacked."""
+    return np.array([target.grad_log_density(p) for p in samples])
+
+
 def box_oracle_samples(box, n, rng):
     """Exact i.i.d. draws from the box density via per-axis inverse CDF.
 
@@ -202,13 +207,13 @@ class TestEmpiricalFisher:
         target = GaussianMixture([(1.0, [0.0], [variance])])
         rng = np.random.default_rng(8)
         samples = (math.sqrt(variance) * rng.normal(size=100_000)).reshape(-1, 1)
-        estimate = empirical_fisher(target, samples)[0, 0]
+        estimate = empirical_fisher(scores_at(target, samples))[0, 0]
         assert abs(estimate - 1.0 / variance) / (1.0 / variance) < 0.05
 
     def test_symmetric_psd(self):
         target = standard_normal(3)
         rng = np.random.default_rng(9)
-        G = empirical_fisher(target, rng.normal(size=(500, 3)))
+        G = empirical_fisher(scores_at(target, rng.normal(size=(500, 3))))
         np.testing.assert_allclose(G, G.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(G) >= -1e-12)
 
@@ -216,7 +221,7 @@ class TestEmpiricalFisher:
         # product-form density: E[score_x score_y] = 0, E[score_x^2] = 4 a^2
         rng = np.random.default_rng(10)
         samples = box_oracle_samples(BOX22, 100_000, rng)
-        G = empirical_fisher(BOX22, samples)
+        G = empirical_fisher(scores_at(BOX22, samples))
         analytic_diag = 4.0 * (2.0 * math.pi) ** 2
         assert abs(G[0, 1]) < 0.02 * analytic_diag
         assert abs(G[0, 0] - analytic_diag) / analytic_diag < 0.15
@@ -224,15 +229,17 @@ class TestEmpiricalFisher:
 
     @pytest.mark.parametrize("target", [BOX22, MIX_2D])
     def test_matches_per_row_oracle(self, target):
-        rng = np.random.default_rng(12)
-        if isinstance(target, ParticleBox2D):
-            samples = box_oracle_samples(target, 2000, rng)
-        else:
-            samples = rng.normal(size=(2000, 2)) * 2.0
-        scores = np.array([target.grad_log_density(p) for p in samples])
-        oracle = scores.T @ scores / samples.shape[0]
-        G = empirical_fisher(target, samples)
-        np.testing.assert_allclose(G, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+        # the report's Fisher comes from the chain's scores, which are the
+        # target's own gradients at the samples, bit for bit
+        chain = run_chain({"name": "adaptive", "eps": 0.1}, target, 2000, 0, [0.25, 0.25], 12, 0)
+        scores = scores_at(target, chain.samples)
+        oracle = np.trace(scores.T @ scores / scores.shape[0])
+        assert build_report(chain, target, max_lag=10).fisher_trace == oracle
+
+    @pytest.mark.parametrize("scores", [np.empty((0, 2)), np.ones(3), np.ones((2, 2, 2))])
+    def test_bad_shape_rejected(self, scores):
+        with pytest.raises(ValueError):
+            empirical_fisher(scores)
 
 
 class TestBuildReport:
@@ -285,10 +292,37 @@ class TestBuildReport:
 
     def test_chain_on_zero_density_point_rejected(self):
         bad = Chain(
-            samples=np.array([[0.5, 0.25]]),
-            log_ps=np.array([-math.inf]),
-            accepted=np.array([True]),
+            samples=np.array([[0.25, 0.25], [0.5, 0.25]]),
+            log_ps=np.array([BOX22.log_density([0.25, 0.25]), -math.inf]),
+            accepted=np.array([True, True]),
+            scores=np.zeros((2, 2)),
             meta={"wall_time_s": 0.1},
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero-density"):
             build_report(bad, BOX22)
+
+    def test_single_sample_rejected(self):
+        chain = run_chain({"name": "mala", "eps": 0.1}, BOX22, 1, 0, [0.25, 0.25], 1, 0)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            build_report(chain, BOX22)
+
+    @pytest.mark.parametrize(
+        "cfg", [{"name": "mala", "eps": 500.0}, {"name": "hmc", "eps_leap": 1e-300, "n_leap": 2}]
+    )
+    def test_chain_that_never_moves(self, cfg):
+        # every MALA proposal leaves the box; HMC's steps are below the
+        # spacing of floats at 0.25, so theta never changes
+        chain = run_chain(cfg, BOX22, 300, 0, [0.25, 0.25], 1, 0)
+        assert np.all(chain.samples == 0.25)
+        report = build_report(chain, BOX22, max_lag=50)
+        assert report.acf.tolist() == np.ones((2, 51)).tolist()
+        assert report.ess.tolist() == [300 / 599] * 2
+        assert report.mode_coverage == 0.25
+
+    def test_constant_dimension_beside_a_moving_one(self):
+        chain = run_chain({"name": "mala", "eps": 0.5}, standard_normal(2), 400, 0, [0.0, 0.0], 3, 0)
+        chain.samples[:, 1] = 0.1
+        report = build_report(chain, standard_normal(2), max_lag=10)
+        assert report.acf[0].tolist() == autocorrelation(chain.samples[:, 0], 10).tolist()
+        assert report.ess[0] == ess(chain.samples[:, 0])
+        assert report.acf[1].tolist() == [1.0] * 11

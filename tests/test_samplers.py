@@ -27,6 +27,22 @@ from amala.targets import NEG_INF, GaussianMixture, ParticleBox2D, TargetDensity
 BOX22 = ParticleBox2D(1.0, 1.0, 2, 2)
 NORMAL1 = standard_normal(1)
 NORMAL2 = standard_normal(2)
+MIX2 = GaussianMixture([(0.4, [-1.0, 0.0], [0.5, 1.0]), (0.6, [1.5, 0.5], [1.0, 0.3])])
+
+
+class RefusalCountingBox(ParticleBox2D):
+    """BOX22 that counts the gradients it refuses: one per HMC divergence."""
+
+    def __init__(self):
+        super().__init__(1.0, 1.0, 2, 2)
+        self.refused = 0
+
+    def grad_log_density(self, point):
+        try:
+            return super().grad_log_density(point)
+        except ValueError:
+            self.refused += 1
+            raise
 
 
 class FlatTarget(TargetDensity):
@@ -510,6 +526,29 @@ class TestRunChain:
     def test_full_adaptation_block_round_trips(self):
         sampler = make_sampler({"name": "adaptive", "eps": 0.2, "beta": 1.4, "xi": 0.3})
         assert sampler.params == AdaptParams(eps=0.2, beta=1.4, xi=0.3)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"name": "adaptive", "eps": 0.03},
+            {"name": "mala", "eps": 0.1},
+            {"name": "hmc", "eps_leap": 0.05, "n_leap": 20},
+        ],
+        ids=["adaptive", "mala", "hmc"],
+    )
+    @pytest.mark.parametrize("target_name", ["box", "mixture"])
+    def test_scores_are_the_gradients_at_the_samples(self, cfg, target_name):
+        if target_name == "box":
+            target, init = RefusalCountingBox(), [0.25, 0.25]
+        else:
+            target, init = MIX2, [-1.0, 0.0]
+        chain = run_chain(cfg, target, 350, 0, init, seed=1, chain_id=0)
+        if target_name == "box" and cfg["name"] == "hmc":
+            # the chain holds diverged steps and energy rejections
+            assert target.refused > 0 and np.count_nonzero(~chain.accepted) > target.refused
+        stacked = np.array([target.grad_log_density(x) for x in chain.samples])
+        assert chain.scores.shape == chain.samples.shape
+        assert chain.scores.tobytes() == stacked.tobytes()
 
     def test_meta_contents(self):
         chain = run_chain({"name": "mala", "eps": 0.5}, NORMAL1, 10, 2, [0.0], 13, 2)

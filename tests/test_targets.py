@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from amala.diagnostics import build_report
 from amala.rng import split
+from amala.samplers import run_chain
 from amala.targets import (
     NEG_INF,
     GaussianMixture,
@@ -288,7 +290,7 @@ class TestTargetContract:
 
 class HalfPlaneTarget(TargetDensity):
     """p(x) proportional to x0 exp(-x0) N(x1; 0, 1) on x0 > 0: a custom
-    target that keeps the base-class grad_log_density_rows loop."""
+    target with nothing beyond the two interface methods."""
 
     name = "half_plane"
     dim = 2
@@ -307,62 +309,17 @@ class HalfPlaneTarget(TargetDensity):
 HALF_PLANE = HalfPlaneTarget()
 
 
-def interior_point(target):
-    if isinstance(target, ParticleBox2D):
-        return target.first_mode_center()
-    if isinstance(target, GaussianMixture):
-        return target.means[0]
-    return np.array([1.5, 0.5])
-
-
-def assert_rows_match_points(target, points):
-    # a tolerance, not bit equality: numpy's vectorized sin/cos/exp may
-    # round the last bit differently from the one-point path on some hosts
-    rows = target.grad_log_density_rows(points)
-    stacked = np.array([target.grad_log_density(p) for p in points])
-    assert rows.shape == stacked.shape == points.shape
-    np.testing.assert_allclose(rows, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max())
-
-
-class TestGradRows:
-    """grad_log_density_rows is grad_log_density of every row, under the same contract."""
-
-    @pytest.mark.parametrize("target", [BOX22, BOX_3X2, BOX11])
-    def test_box_rows_match_points(self, target):
-        stream = split(37, 0)
-        unit = np.array([[stream.next_uniform(), stream.next_uniform()] for _ in range(500)])
-        # and points 1e-12 off the walls and nodal lines, where the gradient is clamped
-        edge = np.array([[k / target.nx + 1e-12, 0.3] for k in range(target.nx)] + [[0.3, 1.0 - 1e-12]])
-        points = np.vstack([unit, edge]) * [target.lx, target.ly]
-        assert np.any(np.abs(target.grad_log_density_rows(points)) == target.gmax)
-        assert_rows_match_points(target, points)
-
-    @pytest.mark.parametrize("target", [standard_normal(3), MIX2])
-    def test_mixture_rows_match_points(self, target):
-        stream = split(41, 0)
-        points = np.array([stream.normals(target.dim) for _ in range(500)]) * 3.0
-        assert_rows_match_points(target, points)
-
-    def test_base_class_loop_matches_points(self):
-        stream = split(43, 0)
-        points = np.array([[0.01 + 5.0 * stream.next_uniform(), stream.next_normal()] for _ in range(200)])
-        assert_rows_match_points(HALF_PLANE, points)
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestCustomTarget:
     @pytest.mark.parametrize(
-        "target,point", ZERO_DENSITY_POINTS + [(HALF_PLANE, [0.0, 0.5]), (HALF_PLANE, [-2.0, 0.0])]
+        "cfg", [{"name": "adaptive", "eps": 0.5}, {"name": "hmc", "eps_leap": 0.3, "n_leap": 5}]
     )
-    def test_one_zero_density_row_raises(self, target, point):
-        inside = interior_point(target)
-        with pytest.raises(ValueError):
-            target.grad_log_density_rows(np.array([inside, point, inside]))
-
-    @pytest.mark.parametrize("target", [BOX22, standard_normal(2), MIX2, HALF_PLANE])
-    def test_wrong_shape_rejected(self, target):
-        inside = interior_point(target)
-        for points in (inside, np.array([[*inside, 0.0]]), np.array([[inside]]), np.array([inside[:1]])):
-            with pytest.raises(ValueError):
-                target.grad_log_density_rows(points)
+    def test_run_chain_and_report(self, cfg):
+        chain = run_chain(cfg, HALF_PLANE, 2000, 100, [1.0, 0.0], 17, 0)
+        assert np.all(chain.samples[:, 0] > 0.0)
+        report = build_report(chain, HALF_PLANE, max_lag=20)
+        assert report.acf.shape == (2, 21) and np.all(report.ess > 0)
+        assert report.tv_distance is None and report.mode_coverage is None
+        assert math.isfinite(report.fisher_trace) and report.fisher_trace > 0
 
 
 class TestRegistry:
