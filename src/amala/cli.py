@@ -2,10 +2,12 @@
 
 One JSON config describes a whole experiment (target, sampler blocks, chain
 count, seed, output directory); `--seed` and `--out` override the matching
-config fields. Every artifact a run produces is deterministic given
-(config, seed) except the timing fields inside diagnostics reports and the
-comparison table, so the manifest records content hashes for the
-deterministic files and lists the timing-bearing reports unhashed.
+config fields. A config is validated when built and again when a run starts,
+before any output exists; the run samples what that second check built.
+Every artifact a run produces is deterministic given (config, seed) except
+the timing fields inside diagnostics reports and the comparison table, so
+the manifest records content hashes for the deterministic files and lists
+the timing-bearing reports unhashed.
 
 Chains may run in parallel (`--workers`), each worker writing the files of
 the chains it ran; file contents and aggregates are ordered by (sampler
@@ -25,7 +27,7 @@ import numpy as np
 
 from .diagnostics import build_report, histogram2d
 from .samplers import make_sampler, run_chain
-from .targets import NEG_INF, GaussianMixture, ParticleBox2D, make_target
+from .targets import NEG_INF, GaussianMixture, ParticleBox2D, finite_real, make_target
 
 
 @dataclass
@@ -42,6 +44,11 @@ class ExperimentConfig:
     max_lag: int = 200
 
     def __post_init__(self):
+        self.build()
+
+    def build(self) -> tuple:
+        """Validate every field and return the (target, start point) to sample;
+        construction calls it, and run_experiment again before any output."""
         for name, low in (("n", 2), ("burn_in", 0), ("chains", 1), ("grid_res", 2), ("max_lag", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
@@ -56,33 +63,13 @@ class ExperimentConfig:
         names = [s.get("name") for s in self.samplers]
         if len(set(names)) != len(names):
             raise ValueError("sampler names must be unique (files are named by sampler)")
-        # fail early on unknown target/sampler names, bad parameters or a
-        # starting point the chains cannot use
         target = make_target(self.target.get("name"), self.target)
         for s in self.samplers:
             make_sampler(s)
-        init = resolve_init(self, target)
-        if init.shape != (target.dim,):
-            raise ValueError(f"init has shape {init.shape}, the target expects ({target.dim},)")
-        if not np.all(np.isfinite(init)) or target.log_density(init) == NEG_INF:
-            raise ValueError(f"init {init.tolist()} is not a finite point of positive target density")
-        # the run uses what was validated; plain attributes, not fields, so
-        # asdict() (the manifest's config block) is the JSON config alone
-        self.target_density = target
-        self.init_point = init
-
-    def __setattr__(self, name, value):
-        """A field assigned after construction is validated with the rest,
-        and target_density/init_point are rebuilt; a rejected value raises
-        as it would at construction and leaves the config as it was."""
-        old = self.__dict__.get(name)
-        super().__setattr__(name, value)
-        if name in self.__dataclass_fields__ and "init_point" in self.__dict__:
-            try:
-                self.__post_init__()
-            except Exception:
-                super().__setattr__(name, old)
-                raise
+        init = resolve_init(self.init, target)
+        if target.log_density(init) == NEG_INF:
+            raise ValueError(f"init {init.tolist()} is not a point of positive target density")
+        return target, init
 
 
 def load_config(path, seed=None, out=None) -> ExperimentConfig:
@@ -95,16 +82,21 @@ def load_config(path, seed=None, out=None) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
-def resolve_init(config: ExperimentConfig, target) -> np.ndarray:
-    if isinstance(config.init, str):
-        if config.init != "mode_center":
-            raise ValueError(f"unknown init spec: {config.init!r}")
+def resolve_init(init, target) -> np.ndarray:
+    """The start point named by "mode_center" or a list of target.dim numbers."""
+    if isinstance(init, str):
+        if init != "mode_center":
+            raise ValueError(f"unknown init spec: {init!r}")
         if isinstance(target, ParticleBox2D):
             return target.first_mode_center()
         if isinstance(target, GaussianMixture):
             return target.means[0].copy()
         raise ValueError("mode_center init is not defined for this target")
-    return np.asarray(config.init, dtype=float)
+    # dtype=object keeps each element's own type, so a string or a bool is seen
+    point = np.asarray(init, dtype=object)
+    if point.shape != (target.dim,):
+        raise ValueError(f"init has shape {point.shape}, the target expects ({target.dim},)")
+    return np.array([finite_real(v, "init element") for v in point])
 
 
 def _fmt(x) -> str:
@@ -221,13 +213,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    target, init = config.build()
     out_dir = Path(config.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    target = config.target_density
     # one job per (sampler, chain) in (sampler name, chain id) order; a
     # worker process gets the target already built
     jobs = [
-        (s, target, config.n, config.burn_in, config.init_point, config.seed, k)
+        (s, target, config.n, config.burn_in, init, config.seed, k)
         for s in sorted(config.samplers, key=lambda s: s["name"])
         for k in range(config.chains)
     ]

@@ -17,7 +17,8 @@ from .targets import NEG_INF, ParticleBox2D, TargetDensity
 def autocorrelation(series, max_lag: int) -> np.ndarray:
     """rho(k) for k = 0..max_lag; rho(0) is exactly 1.
 
-    Constant series have zero variance and no autocorrelation; they raise.
+    A constant series raises, found by equality since its float mean can
+    round off the value; so does one whose centred sum of squares is 0.
     """
     x = np.asarray(series, dtype=float)
     n = x.shape[0]
@@ -27,8 +28,8 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
         raise ValueError("max_lag must satisfy 0 <= max_lag < n")
     xc = x - x.mean()
     denom = float(np.dot(xc, xc))
-    if denom == 0.0:
-        raise ValueError("series is constant; autocorrelation undefined")
+    if denom == 0.0 or np.all(x == x[0]):
+        raise ValueError("series is constant or has zero variance; autocorrelation undefined")
     f = np.fft.rfft(xc, 2 * n)
     acov = np.fft.irfft(f * np.conj(f))[: max_lag + 1]
     rho = acov / acov[0]

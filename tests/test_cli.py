@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,6 +131,9 @@ class TestConfig:
             {"target": "particle_box"},
             {"n": 1},
             {"samplers": [{"name": "adaptive", "eps": 0.1, "xi": "0.5"}]},
+            {"target": MIX_TARGET, "init": ["0.3", "0.4"]},
+            {"target": MIX_TARGET, "init": [True, True]},
+            {"target": MIX_TARGET, "init": [[0.1, 0.2]]},
         ],
     )
     def test_validation(self, overrides):
@@ -139,35 +141,43 @@ class TestConfig:
             ExperimentConfig(**base_config(**overrides))
 
     def test_resolve_init(self):
-        cfg = ExperimentConfig(**base_config())
         box = make_target("particle_box", BOX_TARGET)
-        np.testing.assert_allclose(resolve_init(cfg, box), [0.25, 0.25])
+        np.testing.assert_allclose(resolve_init("mode_center", box), [0.25, 0.25])
         mix = make_target("gauss_mix", MIX_TARGET)
-        np.testing.assert_allclose(resolve_init(cfg, mix), [0.0, 0.0])
-        vec = ExperimentConfig(**base_config(init=[0.3, 0.4]))
-        np.testing.assert_allclose(resolve_init(vec, box), [0.3, 0.4])
-        # a config cannot hold an unknown spec, so hand resolve_init a stand-in
+        np.testing.assert_allclose(resolve_init("mode_center", mix), [0.0, 0.0])
+        np.testing.assert_allclose(resolve_init([0.3, 0.4], box), [0.3, 0.4])
         with pytest.raises(ValueError):
-            resolve_init(SimpleNamespace(init="somewhere"), box)
+            resolve_init("somewhere", box)
 
-    def test_reassigned_target_is_rebuilt(self):
-        cfg = ExperimentConfig(**base_config())
-        cfg.target = {**BOX_TARGET, "nx": 1, "ny": 1}
-        assert cfg.target_density.nx == 1
-        np.testing.assert_array_equal(cfg.init_point, [0.5, 0.5])
-        cfg.init = [0.3, 0.4]
-        np.testing.assert_array_equal(cfg.init_point, [0.3, 0.4])
+    def test_in_place_target_edit_is_run(self, tmp_path):
+        edited = ExperimentConfig(**base_config(target=dict(BOX_TARGET), outputs=str(tmp_path / "edited")))
+        edited.target["nx"] = 1
+        edited.target["ny"] = 1
+        built = ExperimentConfig(
+            **base_config(target={**BOX_TARGET, "nx": 1, "ny": 1}, outputs=str(tmp_path / "built"))
+        )
+        man_edited, man_built = run_experiment(edited), run_experiment(built)
+        assert man_edited["files"] == man_built["files"]
+        assert man_edited["target_energy"] == man_built["target_energy"] == 1.0
+        assert man_edited["config"]["target"] == man_built["config"]["target"]
 
     @pytest.mark.parametrize(
-        "field,value",
-        [("target", {"name": "banana"}), ("init", [0.5, 0.25]), ("n", 1), ("samplers", [])],
+        "edit",
+        [
+            lambda cfg: cfg.samplers[0].update(eps=NAN),
+            lambda cfg: setattr(cfg, "n", 1),
+            lambda cfg: setattr(cfg, "init", [0.5, 0.25]),
+            lambda cfg: setattr(cfg, "target", {"name": "banana"}),
+            lambda cfg: setattr(cfg, "samplers", []),
+        ],
+        ids=["eps-in-place", "n", "init", "target", "samplers"],
     )
-    def test_bad_reassignment_raises_and_keeps_config(self, field, value):
-        cfg = ExperimentConfig(**base_config())
-        before = (getattr(cfg, field), cfg.target_density, cfg.init_point)
+    def test_edited_config_fails_before_output(self, tmp_path, edit):
+        cfg = ExperimentConfig(**base_config(outputs=str(tmp_path / "out")))
+        edit(cfg)
         with pytest.raises(ValueError):
-            setattr(cfg, field, value)
-        assert (getattr(cfg, field), cfg.target_density, cfg.init_point) == before
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_outputs_assignment(self, tmp_path):
         cfg = ExperimentConfig(**base_config())
@@ -399,6 +409,7 @@ class TestMain:
             ({"target": "particle_box"}, "target block"),
             ({"n": 1}, "n"),
             ({"samplers": [{"name": "adaptive", "eps": 0.1, "xi": "0.5"}]}, "xi"),
+            ({"target": MIX_TARGET, "init": ["0.3", "0.4"]}, "init element"),
         ],
     )
     def test_bad_field_exits_before_output(self, tmp_path, capsys, overrides, field):

@@ -60,6 +60,10 @@ def box_oracle_samples(box, n, rng):
     return np.column_stack([xs, ys])
 
 
+# constants whose float mean is not the value itself
+INEXACT_MEAN_CONSTANTS = [np.full(1001, 0.1), np.full(7, 0.7)]
+
+
 class TestAutocorrelation:
     def test_lag_zero_is_one(self):
         rng = np.random.default_rng(0)
@@ -83,6 +87,17 @@ class TestAutocorrelation:
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError):
             autocorrelation(np.ones(100), 10)
+
+    @pytest.mark.parametrize("series", INEXACT_MEAN_CONSTANTS, ids=["0.1x1001", "0.7x7"])
+    def test_constant_series_with_inexact_mean_rejected(self, series):
+        assert series.mean() != series[0]  # centring leaves a nonzero constant
+        with pytest.raises(ValueError, match="constant"):
+            autocorrelation(series, 3)
+
+    def test_underflowing_variance_rejected(self):
+        # not constant, but the centred sum of squares underflows to 0
+        with pytest.raises(ValueError, match="zero variance"):
+            autocorrelation([0.0, 5e-324, 0.0], 2)
 
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError):
@@ -113,6 +128,11 @@ class TestEss:
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError):
             ess(np.zeros(10))
+
+    @pytest.mark.parametrize("series", INEXACT_MEAN_CONSTANTS, ids=["0.1x1001", "0.7x7"])
+    def test_constant_series_with_inexact_mean_rejected(self, series):
+        with pytest.raises(ValueError, match="constant"):
+            ess(series)
 
 
 class TestHistogram2d:
