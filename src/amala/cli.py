@@ -211,8 +211,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     JSONs and the comparison table carry wall times and are listed without
     hashes.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     target, init = config.build()
     out_dir = Path(config.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -109,7 +109,8 @@ def init_state(target: TargetDensity, init) -> ChainState:
     log_p = target.log_density(theta)
     if log_p == NEG_INF:
         raise ValueError("initial point has zero density under the target")
-    return ChainState(theta=theta, log_p=log_p, grad=target.grad_log_density(theta))
+    grad = np.asarray(target.grad_log_density(theta), dtype=float)
+    return ChainState(theta=theta, log_p=log_p, grad=grad)
 
 
 def langevin_propose(
@@ -128,7 +129,7 @@ def langevin_propose(
     log_p_star = target.log_density(theta_star)
     if log_p_star == NEG_INF:
         return Proposal(theta_star, scale, log_q_fwd, math.nan, log_p_star, auto_reject=True)
-    grad_star = target.grad_log_density(theta_star)
+    grad_star = np.asarray(target.grad_log_density(theta_star), dtype=float)
     log_q_rev = gaussian_log_density(state.theta, theta_star + drift * grad_star, scale)
     return Proposal(theta_star, scale, log_q_fwd, log_q_rev, log_p_star, grad_star)
 
@@ -178,24 +179,34 @@ def leapfrog(
     trajectory evaluates at most n_leap gradients and nothing else.
     diverged flags a trajectory that drifted onto a zero-density point,
     where by the TargetDensity contract the gradient raises ValueError;
-    the returned grad is then None. The loop runs on float lists: the same
-    IEEE operations as the vector form, without numpy call overhead on
-    short vectors.
+    the returned momentum is then the mid-step one and grad is None.
+    The loop updates float lists in place (the same IEEE operations as the
+    vector form, without numpy overhead on short vectors) and fuses the
+    closing and opening half-kicks of consecutive iterations as
+    (p + h*g) + h*g, the same two adds in the same order. The target gets
+    the working position list, which changes after the call.
     """
     eps = params.eps_leap
     half = 0.5 * eps
     theta = np.asarray(theta, dtype=float).tolist()
     p = np.asarray(momentum, dtype=float).tolist()
-    grad = np.asarray(grad, dtype=float).tolist()
-    for _ in range(params.n_leap):
-        p = [a + half * b for a, b in zip(p, grad)]
-        theta = [a + eps * b for a, b in zip(theta, p)]
+    g = np.asarray(grad, dtype=float).tolist()
+    dims = range(len(theta))
+    for i in dims:
+        p[i] = p[i] + half * g[i]
+    for k in range(params.n_leap):
+        if k:
+            for i in dims:
+                p[i] = (p[i] + half * g[i]) + half * g[i]
+        for i in dims:
+            theta[i] = theta[i] + eps * p[i]
         try:
-            grad = target.grad_log_density(theta).tolist()
+            g = target.grad_log_density(theta)
         except ValueError:
             return np.array(theta), np.array(p), True, None
-        p = [a + half * b for a, b in zip(p, grad)]
-    return np.array(theta), np.array(p), False, np.array(grad)
+    for i in dims:
+        p[i] = p[i] + half * g[i]
+    return np.array(theta), np.array(p), False, np.array(g, dtype=float)
 
 
 def hmc_step(

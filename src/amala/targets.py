@@ -31,10 +31,12 @@ class TargetDensity:
     A point is any length-``dim`` sequence of floats (a numpy vector or a
     list). ``log_density`` returns a float that may be -inf at zero-density
     points, never +inf and never NaN for finite points.
-    ``grad_log_density`` returns a numpy vector and raises ``ValueError``
-    exactly where ``log_density`` is -inf. HMC's leapfrog relies on that:
-    it evaluates only the gradient along a trajectory and treats the
-    ``ValueError`` as a divergence.
+    ``grad_log_density`` returns a length-``dim`` sequence of floats (a
+    list or a numpy vector) and raises ``ValueError`` exactly where
+    ``log_density`` is -inf. HMC's leapfrog relies on that: it evaluates
+    only the gradient along a trajectory and treats the ``ValueError`` as
+    a divergence. Leapfrog passes its own working position list and
+    changes it after the call, so a target must not keep the point.
     """
 
     name = "target"
@@ -43,7 +45,7 @@ class TargetDensity:
     def log_density(self, point) -> float:
         raise NotImplementedError
 
-    def grad_log_density(self, point) -> np.ndarray:
+    def grad_log_density(self, point):
         raise NotImplementedError
 
 
@@ -108,12 +110,18 @@ class ParticleBox2D(TargetDensity):
             return NEG_INF
         return self._log_norm + 2.0 * math.log(abs(sx)) + 2.0 * math.log(abs(sy))
 
-    def grad_log_density(self, point) -> np.ndarray:
-        t = self._scaled_position(point)
-        if t is None:
+    def grad_log_density(self, point) -> list[float]:
+        # _scaled_position inlined: this is HMC's per-leapfrog-step call
+        x = float(point[0])
+        y = float(point[1])
+        if x <= 0.0 or x >= self.lx or y <= 0.0 or y >= self.ly:
             raise ValueError("gradient requested at a zero-density point")
-        ux = math.pi * t[0]
-        uy = math.pi * t[1]
+        tx = self.nx * x / self.lx
+        ty = self.ny * y / self.ly
+        if tx == math.floor(tx) or ty == math.floor(ty):
+            raise ValueError("gradient requested at a zero-density point")
+        ux = math.pi * tx
+        uy = math.pi * ty
         sx = math.sin(ux)
         sy = math.sin(uy)
         if sx == 0.0 or sy == 0.0:
@@ -123,7 +131,7 @@ class ParticleBox2D(TargetDensity):
         gy = self._ky * (math.cos(uy) / sy)
         gx = gmax if gx > gmax else -gmax if gx < -gmax else gx
         gy = gmax if gy > gmax else -gmax if gy < -gmax else gy
-        return np.array([gx, gy])
+        return [gx, gy]
 
     def energy(self) -> float:
         """Energy of the (nx, ny) eigenstate in model units (hbar = m = rho = 1),

@@ -108,8 +108,8 @@ def test_criterion_2_detailed_balance_identity():
                 return p
 
     def proposal(target, a, b, drift_scale, cov_scale):
-        mean_fwd = a + 0.5 * drift_scale * target.grad_log_density(a)
-        mean_rev = b + 0.5 * drift_scale * target.grad_log_density(b)
+        mean_fwd = a + 0.5 * drift_scale * np.asarray(target.grad_log_density(a))
+        mean_rev = b + 0.5 * drift_scale * np.asarray(target.grad_log_density(b))
         return Proposal(
             theta_star=b,
             cov_scale_fwd=cov_scale,

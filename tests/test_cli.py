@@ -304,6 +304,13 @@ class TestRunExperiment:
             data = (tmp_path / "out" / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
 
+    @pytest.mark.parametrize("workers", [1.5, True, 0, -1])
+    def test_bad_workers_fail_before_output(self, tmp_path, workers):
+        cfg = ExperimentConfig(**base_config(outputs=str(tmp_path / "out")))
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(cfg, workers=workers)
+        assert not (tmp_path / "out").exists()
+
 
 class TestCompare:
     def test_three_sampler_rows(self, tmp_path):

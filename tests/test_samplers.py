@@ -60,6 +60,35 @@ class FlatTarget(TargetDensity):
         return np.zeros(self.dim)
 
 
+def leapfrog_oracle(theta, momentum, grad, params, target):
+    """The leapfrog loop written with fresh lists per half-kick and drift:
+    the bit-level reference for the in-place, fused-kick leapfrog."""
+    eps = params.eps_leap
+    half = 0.5 * eps
+    theta = np.asarray(theta, dtype=float).tolist()
+    p = np.asarray(momentum, dtype=float).tolist()
+    grad = np.asarray(grad, dtype=float).tolist()
+    for _ in range(params.n_leap):
+        p = [a + half * b for a, b in zip(p, grad)]
+        theta = [a + eps * b for a, b in zip(theta, p)]
+        try:
+            grad = np.asarray(target.grad_log_density(theta), dtype=float).tolist()
+        except ValueError:
+            return np.array(theta), np.array(p), True, None
+        p = [a + half * b for a, b in zip(p, grad)]
+    return np.array(theta), np.array(p), False, np.array(grad)
+
+
+class ArrayGradBox(ParticleBox2D):
+    """BOX22 whose gradient is a numpy vector instead of a list."""
+
+    def __init__(self):
+        super().__init__(1.0, 1.0, 2, 2)
+
+    def grad_log_density(self, point):
+        return np.array(super().grad_log_density(point))
+
+
 def gauss_logpdf_oracle(x, mean, scale):
     """Independent isotropic Gaussian log density via scipy."""
     return float(np.sum(stats.norm.logpdf(np.asarray(x), np.asarray(mean), math.sqrt(scale))))
@@ -74,8 +103,8 @@ def proposal_between(target, a, b, drift_scale, cov_scale):
     """Hand-built proposal a -> b with explicit forward/reverse densities."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    mean_fwd = a + 0.5 * drift_scale * target.grad_log_density(a)
-    mean_rev = b + 0.5 * drift_scale * target.grad_log_density(b)
+    mean_fwd = a + 0.5 * drift_scale * np.asarray(target.grad_log_density(a))
+    mean_rev = b + 0.5 * drift_scale * np.asarray(target.grad_log_density(b))
     return Proposal(
         theta_star=b,
         cov_scale_fwd=cov_scale,
@@ -337,13 +366,46 @@ class TestLeapfrog:
         params = HmcParams(eps_leap=0.01, n_leap=7)
         theta, _, diverged, grad = leapfrog(theta0, [0.5, -0.2], target.grad_log_density(theta0), params, target)
         assert not diverged
-        assert grad.tolist() == target.grad_log_density(theta).tolist()
+        assert grad.tolist() == np.asarray(target.grad_log_density(theta)).tolist()
 
     def test_diverged_trajectory_returns_no_gradient(self):
         params = HmcParams(eps_leap=0.5, n_leap=5)
         start = [0.25, 0.25]
         *_, diverged, grad = leapfrog(start, [3.0, 0.0], BOX22.grad_log_density(start), params, BOX22)
         assert diverged and grad is None
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["lists", "arrays"])
+    @pytest.mark.parametrize(
+        "target,theta0,p0,eps_leap,n_leap",
+        [
+            pytest.param(BOX22, [0.3, 0.2], [0.5, -0.2], 0.05, 1, id="box-1"),
+            pytest.param(BOX22, [0.3, 0.2], [0.5, -0.2], 0.05, 20, id="box-20"),
+            pytest.param(BOX22, [0.25, 0.25], [3.0, 0.0], 0.5, 5, id="box-diverging"),
+            pytest.param(standard_normal(3), [0.9, -1.4, 0.2], [0.3, 0.8, -0.5], 0.1, 1, id="normal3-1"),
+            pytest.param(standard_normal(3), [0.9, -1.4, 0.2], [0.3, 0.8, -0.5], 0.1, 20, id="normal3-20"),
+            pytest.param(MIX2, [-1.0, 0.0], [0.7, -0.4], 0.1, 1, id="mix2-1"),
+            pytest.param(MIX2, [-1.0, 0.0], [0.7, -0.4], 0.1, 20, id="mix2-20"),
+        ],
+    )
+    def test_bits_match_oracle(self, target, theta0, p0, eps_leap, n_leap, as_array):
+        params = HmcParams(eps_leap=eps_leap, n_leap=n_leap)
+        grad0 = np.asarray(target.grad_log_density(theta0), dtype=float).tolist()
+        args = [theta0, p0, grad0]
+        if as_array:
+            args = [np.array(a) for a in args]
+        copies = [np.array(a) for a in args]
+        theta, p, diverged, grad = leapfrog(*args, params, target)
+        want_theta, want_p, want_diverged, want_grad = leapfrog_oracle(*copies, params, target)
+        assert diverged == want_diverged == (eps_leap == 0.5)
+        assert theta.tobytes() == want_theta.tobytes()
+        assert p.tobytes() == want_p.tobytes()
+        if diverged:
+            assert grad is None and want_grad is None
+        else:
+            assert grad.tobytes() == want_grad.tobytes()
+        # the caller's inputs are left as they were
+        for arg, copy in zip(args, copies):
+            assert np.asarray(arg).tobytes() == copy.tobytes()
 
 
 class TestHmcStep:
@@ -429,7 +491,9 @@ class TestHmcStep:
 
 class TestInvariance:
     """Moment gate: E[x^2] on standard_normal(d), averaged over the d
-    coordinates, within 4 standard errors of 1.
+    coordinates, within 4 standard errors of 1; per-coordinate E[x] and
+    E[x^2] on a two-component mixture within 4 standard errors of their
+    exact values.
 
     Each of the 8 chains is one batch; the standard error is the spread of
     the chain means over sqrt(8) (batch means across chains; Flegal & Jones
@@ -452,6 +516,7 @@ class TestInvariance:
             ),
             pytest.param({"name": "hmc", "eps_leap": 0.3, "n_leap": 5}, 2, id="hmc"),
             pytest.param({"name": "mala", "eps": 0.8}, 8, id="mala-d8"),
+            pytest.param({"name": "hmc", "eps_leap": 0.3, "n_leap": 5}, 8, id="hmc-d8"),
         ],
     )
     def test_second_moment_of_standard_normal(self, block, dim):
@@ -462,6 +527,27 @@ class TestInvariance:
         )
         z = (means.mean() - 1.0) / (means.std(ddof=1) / math.sqrt(chains))
         assert abs(z) <= 4.0, f"E[x^2] = {means.mean():.4f}, z = {z:.1f}"
+
+    @pytest.mark.parametrize(
+        "block", [pytest.param({"name": "hmc", "eps_leap": 0.3, "n_leap": 5}, id="hmc")]
+    )
+    def test_moments_of_mixture(self, block):
+        chains = 8
+        components = [(0.3, [-0.5, -0.5], [1.0, 0.5]), (0.7, [0.5, 1.0], [0.5, 1.0])]
+        w = np.array([c[0] for c in components])
+        mu = np.array([c[1] for c in components])
+        var = np.array([c[2] for c in components])
+        target = GaussianMixture(components)
+        samples = [
+            run_chain(block, target, 10_000, 500, [0.0, 0.0], 1, k).samples for k in range(chains)
+        ]
+        for what, stat, exact in (
+            ("E[x]", lambda x: x, w @ mu),
+            ("E[x^2]", lambda x: x * x, w @ (var + mu * mu)),
+        ):
+            means = np.array([stat(x).mean(axis=0) for x in samples])
+            z = (means.mean(axis=0) - exact) / (means.std(axis=0, ddof=1) / math.sqrt(chains))
+            assert np.all(np.abs(z) <= 4.0), f"{what} = {means.mean(axis=0)}, exact {exact}, z = {z}"
 
 
 class TestRunChain:
@@ -553,6 +639,22 @@ class TestRunChain:
         stacked = np.array([target.grad_log_density(x) for x in chain.samples])
         assert chain.scores.shape == chain.samples.shape
         assert chain.scores.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"name": "adaptive", "eps": 0.03},
+            {"name": "mala", "eps": 0.03},
+            {"name": "hmc", "eps_leap": 0.05, "n_leap": 20},
+        ],
+        ids=["adaptive", "mala", "hmc"],
+    )
+    def test_array_gradient_gives_the_same_chain(self, cfg):
+        # the box returns its gradient as a list; a numpy vector is equally valid
+        a = run_chain(cfg, BOX22, 300, 50, [0.25, 0.25], seed=1, chain_id=0)
+        b = run_chain(cfg, ArrayGradBox(), 300, 50, [0.25, 0.25], seed=1, chain_id=0)
+        for field in ("samples", "log_ps", "accepted", "scores"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     def test_meta_contents(self):
         chain = run_chain({"name": "mala", "eps": 0.5}, NORMAL1, 10, 2, [0.0], 13, 2)
