@@ -16,33 +16,15 @@ which also guarantees a strictly positive output.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import RngStream
-from .targets import finite_real
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # floor of the norm-ratio denominators and of the base before its power
 NORM_FLOOR = 1e-12
 BASE_FLOOR = 1e-12
-
-
-@dataclass
-class AdaptParams:
-    """Knobs for the scale update; eps doubles as the Langevin step size."""
-
-    eps: float
-    beta: float = 1.0
-    xi: float = 0.5
-
-    def __post_init__(self):
-        if finite_real(self.eps, "eps") <= 0:
-            raise ValueError("eps must be positive")
-        finite_real(self.beta, "beta")
-        if not 0.0 < finite_real(self.xi, "xi") < 1.0:
-            raise ValueError("xi must lie in (0, 1)")
 
 
 def ratio_norm_guarded(a, b, floor: float) -> float:
@@ -67,10 +49,11 @@ def sigma_update(
     grad_n,
     grad_prev,
     sigma_prev: float,
-    params: AdaptParams,
+    params,
     stream: RngStream,
 ) -> float:
-    """Next proposal scale from the last two points and gradients.
+    """Next proposal scale from the last two points and gradients; params
+    is the AdaptiveSampler whose eps, beta and xi enter the update.
 
     Strictly positive and finite for finite inputs; when the position and
     gradient norm ratios agree (r_theta == r_grad) the psi draw multiplies

@@ -9,9 +9,10 @@ the timing fields inside diagnostics reports and the comparison table, so
 the manifest records content hashes for the deterministic files and lists
 the timing-bearing reports unhashed.
 
-Chains may run in parallel (`--workers`), each worker writing the files of
-the chains it ran; file contents and aggregates are ordered by (sampler
-name, chain id), so results are worker-count-independent.
+Chains may run in parallel (`--workers`, at most one process per chain),
+each worker writing the files of the chains it ran; file contents and
+aggregates are ordered by (sampler name, chain id), so results are
+worker-count-independent.
 """
 
 import argparse
@@ -88,7 +89,7 @@ def resolve_init(init, target) -> np.ndarray:
         if init != "mode_center":
             raise ValueError(f"unknown init spec: {init!r}")
         if isinstance(target, ParticleBox2D):
-            return target.first_mode_center()
+            return target.mode_centers()[0]
         if isinstance(target, GaussianMixture):
             return target.means[0].copy()
         raise ValueError("mode_center init is not defined for this target")
@@ -224,6 +225,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
         for k in range(config.chains)
     ]
     job = partial(_chain_job, out_dir=out_dir, grid_res=config.grid_res, max_lag=config.max_lag)
+    # the pool starts all its processes at the first submit, so never more
+    # than there are chains to run
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, jobs))
@@ -277,7 +281,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--workers", type=int, default=1, help="parallel chains")
+        p.add_argument("--workers", type=int, default=1, help="parallel chains, one process each at most")
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, seed=args.seed, out=args.out)

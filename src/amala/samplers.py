@@ -13,6 +13,9 @@ reverse move would draw at theta*, so the acceptance ratio is not the ratio
 of the true transition densities. The bias is small but measurable (E[x^2]
 of about 0.93 instead of 1 on a 2D standard normal at eps = 1).
 
+Each sampler class is a dataclass whose fields are exactly the keys of its
+config block besides "name"; make_sampler builds one from that block.
+
 Stream-draw order per step is fixed (scale update if any, proposal noise,
 acceptance uniform) so chains replay bit-identically; zero-density
 proposals are auto-rejected without consuming the acceptance uniform.
@@ -25,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .adaptation import AdaptParams, sigma_update
+from .adaptation import sigma_update
 from .rng import RngStream, split
 from .targets import NEG_INF, TargetDensity, finite_real
 
@@ -60,20 +63,6 @@ class Proposal:
     log_p_star: float
     grad_star: np.ndarray | None = None
     auto_reject: bool = False
-
-
-@dataclass
-class HmcParams:
-    """Leapfrog settings for the HMC baseline (identity mass matrix only)."""
-
-    eps_leap: float = 0.05
-    n_leap: int = 20
-
-    def __post_init__(self):
-        if finite_real(self.eps_leap, "eps_leap") <= 0:
-            raise ValueError("eps_leap must be positive")
-        if isinstance(self.n_leap, bool) or not isinstance(self.n_leap, int) or self.n_leap < 1:
-            raise ValueError(f"n_leap must be an integer >= 1, got {self.n_leap!r}")
 
 
 @dataclass
@@ -170,7 +159,7 @@ def mh_accept(state: ChainState, prop: Proposal, stream: RngStream) -> tuple[Cha
 
 
 def leapfrog(
-    theta, momentum, grad, params: HmcParams, target: TargetDensity
+    theta, momentum, grad, params: "HmcSampler", target: TargetDensity
 ) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray | None]:
     """n_leap leapfrog iterations (half-kick, drift, half-kick) from theta,
     whose log-density gradient grad the caller already holds.
@@ -209,91 +198,100 @@ def leapfrog(
     return np.array(theta), np.array(p), False, np.array(g, dtype=float)
 
 
-def hmc_step(
-    state: ChainState, params: HmcParams, target: TargetDensity, stream: RngStream
-) -> tuple[ChainState, bool]:
-    """One HMC transition: momentum refresh, leapfrog, energy-error accept.
-
-    Leapfrog starts from the cached state.grad and an accepted state keeps
-    its last gradient: a step costs n_leap gradients and one log density.
-    """
-    d = state.theta.shape[0]
-    p0 = np.array(stream.normals(d))
-    theta_star, p_star, diverged, grad_star = leapfrog(state.theta, p0, state.grad, params, target)
-    if diverged:
-        return _advance(state, state.theta, state.log_p, state.grad), False
-    log_p_star = target.log_density(theta_star)
-    h_old = -state.log_p + 0.5 * float(np.dot(p0, p0))
-    h_new = -log_p_star + 0.5 * float(np.dot(p_star, p_star))
-    log_alpha = h_old - h_new
-    u = stream.next_uniform()
-    if log_alpha >= 0.0 or u < math.exp(log_alpha):
-        return _advance(state, theta_star, log_p_star, grad_star), True
-    return _advance(state, state.theta, state.log_p, state.grad), False
-
-
+@dataclass
 class MalaSampler:
     """Classic MALA with fixed step size: the Langevin proposal at scale eps^2."""
 
     name = "mala"
+    eps: float
 
-    def __init__(self, eps: float):
-        if finite_real(eps, "eps") <= 0:
+    def __post_init__(self):
+        if finite_real(self.eps, "eps") <= 0:
             raise ValueError("eps must be positive")
-        self.eps = eps
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
         prop = langevin_propose(state, target, self.eps, self.eps * self.eps, stream)
         return mh_accept(state, prop, stream)
 
 
-class AdaptiveSampler:
+@dataclass
+class AdaptiveSampler(MalaSampler):
     """Langevin sampler with the stochastic history-driven proposal scale.
 
-    Step 0 has no history pair, so it uses the MALA scale eps^2; adaptation
-    starts at step 1 and consumes one uniform (psi) before the proposal.
+    eps doubles as the Langevin step size; beta and xi shape the scale
+    update (see amala.adaptation). Step 0 has no history pair, so it uses
+    the MALA scale eps^2; adaptation starts at step 1 and consumes one
+    uniform (psi) before the proposal.
     """
 
     name = "adaptive"
+    beta: float = 1.0
+    xi: float = 0.5
 
-    def __init__(self, params: AdaptParams):
-        self.params = params
+    def __post_init__(self):
+        super().__post_init__()
+        finite_real(self.beta, "beta")
+        if not 0.0 < finite_real(self.xi, "xi") < 1.0:
+            raise ValueError("xi must lie in (0, 1)")
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
-        p = self.params
         if state.theta_prev is None:
-            scale = p.eps * p.eps
+            scale = self.eps * self.eps
         else:
             scale = sigma_update(
-                state.theta, state.theta_prev, state.grad, state.grad_prev, state.sigma, p, stream
+                state.theta, state.theta_prev, state.grad, state.grad_prev, state.sigma, self, stream
             )
-        prop = langevin_propose(state, target, p.eps, scale, stream)
+        prop = langevin_propose(state, target, self.eps, scale, stream)
         return mh_accept(state, prop, stream)
 
 
+@dataclass
 class HmcSampler:
-    """Hamiltonian Monte Carlo baseline with fixed leapfrog settings."""
+    """Hamiltonian Monte Carlo baseline with fixed leapfrog settings
+    (identity mass matrix only)."""
 
     name = "hmc"
+    eps_leap: float = 0.05
+    n_leap: int = 20
 
-    def __init__(self, params: HmcParams):
-        self.params = params
+    def __post_init__(self):
+        if finite_real(self.eps_leap, "eps_leap") <= 0:
+            raise ValueError("eps_leap must be positive")
+        if isinstance(self.n_leap, bool) or not isinstance(self.n_leap, int) or self.n_leap < 1:
+            raise ValueError(f"n_leap must be an integer >= 1, got {self.n_leap!r}")
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
-        return hmc_step(state, self.params, target, stream)
+        """One HMC transition: momentum refresh, leapfrog, energy-error accept.
+
+        Leapfrog starts from the cached state.grad and an accepted state keeps
+        its last gradient: a step costs n_leap gradients and one log density.
+        """
+        d = state.theta.shape[0]
+        p0 = np.array(stream.normals(d))
+        theta_star, p_star, diverged, grad_star = leapfrog(state.theta, p0, state.grad, self, target)
+        if diverged:
+            return _advance(state, state.theta, state.log_p, state.grad), False
+        log_p_star = target.log_density(theta_star)
+        h_old = -state.log_p + 0.5 * float(np.dot(p0, p0))
+        h_new = -log_p_star + 0.5 * float(np.dot(p_star, p_star))
+        log_alpha = h_old - h_new
+        u = stream.next_uniform()
+        if log_alpha >= 0.0 or u < math.exp(log_alpha):
+            return _advance(state, theta_star, log_p_star, grad_star), True
+        return _advance(state, state.theta, state.log_p, state.grad), False
+
+
+_SAMPLERS = {cls.name: cls for cls in (MalaSampler, AdaptiveSampler, HmcSampler)}
 
 
 def make_sampler(cfg: Mapping):
-    """Build a sampler from its config block ({'name': ..., params...})."""
+    """Build a sampler from its config block: 'name' picks the class and
+    every other key is one of its keyword arguments."""
     cfg = dict(cfg)
     name = cfg.pop("name", None)
-    if name == "mala":
-        return MalaSampler(**cfg)
-    if name == "adaptive":
-        return AdaptiveSampler(AdaptParams(**cfg))
-    if name == "hmc":
-        return HmcSampler(HmcParams(**cfg))
-    raise ValueError(f"unknown sampler: {name!r}")
+    if name not in _SAMPLERS:
+        raise ValueError(f"unknown sampler: {name!r}")
+    return _SAMPLERS[name](**cfg)
 
 
 def run_chain(

@@ -39,7 +39,6 @@ class TargetDensity:
     changes it after the call, so a target must not keep the point.
     """
 
-    name = "target"
     dim = 0
 
     def log_density(self, point) -> float:
@@ -62,7 +61,6 @@ class ParticleBox2D(TargetDensity):
     Euler proposal finite.
     """
 
-    name = "particle_box"
     dim = 2
 
     def __init__(self, lx: float, ly: float, nx: int, ny: int, gmax: float = 1e6):
@@ -169,9 +167,6 @@ class ParticleBox2D(TargetDensity):
         ys = [(2 * j + 1) * self.ly / (2 * self.ny) for j in range(self.ny)]
         return np.array([[x, y] for x in xs for y in ys])
 
-    def first_mode_center(self) -> np.ndarray:
-        return np.array([self.lx / (2 * self.nx), self.ly / (2 * self.ny)])
-
 
 class GaussianMixture(TargetDensity):
     """Diagonal-covariance Gaussian mixture used as an analytic validation target.
@@ -179,8 +174,6 @@ class GaussianMixture(TargetDensity):
     Components are (weight, mean, variance) triples; weights are normalized
     at construction so tolerant inputs still satisfy the sum-to-one invariant.
     """
-
-    name = "gauss_mix"
 
     def __init__(self, components):
         if not components:

@@ -16,7 +16,7 @@ from amala.cli import ExperimentConfig, run_experiment
 from amala.diagnostics import autocorrelation, empirical_fisher, ess, tv_distance
 from amala.rng import split
 from amala.samplers import (
-    HmcParams,
+    HmcSampler,
     Proposal,
     init_state,
     leapfrog,
@@ -178,7 +178,7 @@ def test_criterion_4_mala_small_step_acceptance():
 
 def test_criterion_5_hmc_integrator():
     normal2 = standard_normal(2)
-    params = HmcParams(eps_leap=0.05, n_leap=30)
+    params = HmcSampler(eps_leap=0.05, n_leap=30)
     theta0 = np.array([0.8, -1.1])
     p0 = np.array([0.4, 0.9])
     theta1, p1, _, _ = leapfrog(theta0, p0, normal2.grad_log_density(theta0), params, normal2)
@@ -186,7 +186,7 @@ def test_criterion_5_hmc_integrator():
     reversible = np.max(np.abs(theta2 - theta0)) < 1e-10 and np.max(np.abs(p2 + p0)) < 1e-10
 
     def mean_abs_dh(eps):
-        p = HmcParams(eps_leap=eps, n_leap=10)
+        p = HmcSampler(eps_leap=eps, n_leap=10)
         stream = split(515, 0)
         total = 0.0
         for _ in range(1000):

@@ -10,12 +10,12 @@ from amala.adaptation import (
     BASE_FLOOR,
     NORM_FLOOR,
     SQRT_2PI,
-    AdaptParams,
     psi_draw,
     ratio_norm_guarded,
     sigma_update,
 )
 from amala.rng import RngStream, split
+from amala.samplers import AdaptiveSampler
 
 getcontext().prec = 60
 
@@ -37,7 +37,7 @@ def sigma_oracle(theta_n, theta_prev, grad_n, grad_prev, psi, params):
 
 class TestParams:
     def test_defaults(self):
-        p = AdaptParams(eps=0.1)
+        p = AdaptiveSampler(eps=0.1)
         assert (p.beta, p.xi) == (1.0, 0.5)
 
     @pytest.mark.parametrize(
@@ -51,7 +51,7 @@ class TestParams:
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
-            AdaptParams(**kwargs)
+            AdaptiveSampler(**kwargs)
 
 
 class TestRatioNormGuarded:
@@ -91,7 +91,7 @@ class TestSigmaUpdate:
     def test_equal_ratios_worked_example(self):
         # equal norms on both ratios: psi multiplies zero, result is
         # eps / (1 + e^-1) ~ 0.073106 for beta=1, xi=0.5, eps=0.1
-        params = AdaptParams(eps=0.1)
+        params = AdaptiveSampler(eps=0.1)
         expected = 0.1 / (1.0 + math.exp(-1.0))
         for seed in (1, 2):
             got = sigma_update(
@@ -102,7 +102,7 @@ class TestSigmaUpdate:
 
     def test_negative_base_hits_floor(self):
         # r_theta = 0 and r_grad = 1 make base = beta - psi < 0 when psi > 1
-        params = AdaptParams(eps=0.1)
+        params = AdaptiveSampler(eps=0.1)
         seed = next(
             s
             for s in range(100)
@@ -113,19 +113,19 @@ class TestSigmaUpdate:
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_zero_grad_prev_uses_norm_floor(self):
-        params = AdaptParams(eps=0.2)
+        params = AdaptiveSampler(eps=0.2)
         got = sigma_update([1.0], [1.0], [1.0], [0.0], 0.5, params, split(4, 0))
         # r_grad = 1e24: exp underflows, base floors, result eps*sqrt(floor)
         assert got == pytest.approx(0.2 * math.sqrt(BASE_FLOOR), rel=1e-14)
         assert got > 0.0 and math.isfinite(got)
 
     def test_deterministic_given_stream(self):
-        params = AdaptParams(eps=0.3, beta=0.7, xi=0.4)
+        params = AdaptiveSampler(eps=0.3, beta=0.7, xi=0.4)
         args = ([1.0, -2.0], [0.5, 1.0], [3.0, 1.0], [-1.0, 2.0], 0.9, params)
         assert sigma_update(*args, split(5, 2)) == sigma_update(*args, split(5, 2))
 
     def test_psi_independent_when_ratios_match(self):
-        params = AdaptParams(eps=0.25, beta=1.3)
+        params = AdaptiveSampler(eps=0.25, beta=1.3)
         results = {
             sigma_update([1.0, 2.0], [2.0, 1.0], [-3.0, 0.0], [0.0, 3.0], 1.5, params, split(s, 0))
             for s in range(10)
@@ -133,8 +133,8 @@ class TestSigmaUpdate:
         assert len(results) == 1
 
     def test_linear_in_eps(self):
-        p1 = AdaptParams(eps=0.1, beta=0.8)
-        p2 = AdaptParams(eps=0.2, beta=0.8)
+        p1 = AdaptiveSampler(eps=0.1, beta=0.8)
+        p2 = AdaptiveSampler(eps=0.2, beta=0.8)
         args = ([1.0, 0.5], [0.3, -0.2], [2.0, 2.0], [1.0, -1.0], 0.4)
         assert 2.0 * sigma_update(*args, p1, split(6, 0)) == sigma_update(*args, p2, split(6, 0))
 
@@ -147,7 +147,7 @@ class TestSigmaUpdate:
             grad_n = 3.0 * np.array(stream.normals(d))
             grad_prev = 3.0 * np.array(stream.normals(d))
             sigma_prev = abs(stream.next_normal())
-            params = AdaptParams(
+            params = AdaptiveSampler(
                 eps=0.05 + stream.next_uniform(),
                 beta=0.5 + stream.next_uniform(),
                 xi=0.1 + 0.8 * stream.next_uniform(),
@@ -161,7 +161,7 @@ class TestSigmaUpdate:
 
     def test_positive_and_bounded_by_denominator(self):
         stream = split(99, 1)
-        params = AdaptParams(eps=0.15)
+        params = AdaptiveSampler(eps=0.15)
         for _ in range(50):
             theta_n = np.array(stream.normals(2))
             theta_prev = np.array(stream.normals(2))
@@ -180,7 +180,7 @@ class TestSigmaUpdate:
             assert cap / 2.0 <= got < cap * (1.0 + 1e-12)
 
     def test_nan_input_asserts(self):
-        params = AdaptParams(eps=0.1)
+        params = AdaptiveSampler(eps=0.1)
         for args in (
             ([math.nan], [1.0], [1.0], [1.0]),
             ([1.0], [1.0], [math.nan], [1.0]),
@@ -193,10 +193,11 @@ class TestSigmaUpdate:
         # python -O strips asserts; the NaN check must survive it
         code = (
             "import math\n"
-            "from amala.adaptation import AdaptParams, sigma_update\n"
+            "from amala.adaptation import sigma_update\n"
+            "from amala.samplers import AdaptiveSampler\n"
             "from amala.rng import split\n"
             "try:\n"
-            "    sigma_update([math.nan], [1.0], [1.0], [1.0], 0.5, AdaptParams(eps=0.1), split(1, 0))\n"
+            "    sigma_update([math.nan], [1.0], [1.0], [1.0], 0.5, AdaptiveSampler(eps=0.1), split(1, 0))\n"
             "except ValueError:\n"
             "    print('raised')\n"
         )

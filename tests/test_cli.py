@@ -294,6 +294,35 @@ class TestRunExperiment:
         table = table_without_time(tmp_path / "w1")
         assert len(table) == 3 and table == table_without_time(tmp_path / "w2")
 
+    def test_pool_is_capped_at_the_job_count(self, tmp_path, monkeypatch):
+        built = []
+
+        class InProcessPool:
+            # records the pool size and maps in this process: no process starts
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("amala.cli.ProcessPoolExecutor", InProcessPool)
+        one_sampler = {"samplers": [{"name": "mala", "eps": 0.05}]}
+        serial = run_experiment(ExperimentConfig(**base_config(outputs=str(tmp_path / "w1"), **one_sampler)))
+        assert built == []
+        pooled = run_experiment(
+            ExperimentConfig(**base_config(outputs=str(tmp_path / "w8"), **one_sampler)), workers=8
+        )
+        assert built == [2] and pooled["files"] == serial["files"]
+        cfg = ExperimentConfig(**base_config(outputs=str(tmp_path / "c1"), chains=1, **one_sampler))
+        run_experiment(cfg, workers=8)
+        assert built == [2]
+
     def test_manifest_hashes_match_files(self, tmp_path):
         import hashlib
 

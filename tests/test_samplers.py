@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from amala.adaptation import AdaptParams, sigma_update
+from amala.adaptation import sigma_update
 from amala.rng import RngStream, split
 from amala.samplers import (
     AdaptiveSampler,
     ChainState,
-    HmcParams,
+    HmcSampler,
     MalaSampler,
     Proposal,
-    hmc_step,
     init_state,
     langevin_propose,
     leapfrog,
@@ -168,10 +167,10 @@ class TestMalaPropose:
 
 class TestAdaptivePropose:
     def test_step_zero_equals_mala(self):
-        params = AdaptParams(eps=0.4)
+        params = AdaptiveSampler(eps=0.4)
         state = init_state(NORMAL2, [0.3, -0.7])
         stream_a, stream_b = split(9, 0), split(9, 0)
-        a, acc_a = AdaptiveSampler(params).step(state, NORMAL2, stream_a)
+        a, acc_a = params.step(state, NORMAL2, stream_a)
         b, acc_b = MalaSampler(params.eps).step(state, NORMAL2, stream_b)
         np.testing.assert_array_equal(a.theta, b.theta)
         assert acc_a == acc_b and a.log_p == b.log_p
@@ -192,9 +191,9 @@ class TestAdaptivePropose:
         )
 
     def test_adapted_scale_matches_sigma_update(self):
-        params = AdaptParams(eps=0.1)
+        params = AdaptiveSampler(eps=0.1)
         state = self._state_with_history()
-        new, _ = AdaptiveSampler(params).step(state, NORMAL2, split(12, 0))
+        new, _ = params.step(state, NORMAL2, split(12, 0))
         expected = sigma_update(
             state.theta, state.theta_prev, state.grad, state.grad_prev, 0.5, params, split(12, 0)
         )
@@ -202,7 +201,7 @@ class TestAdaptivePropose:
         assert new.sigma == pytest.approx(0.1 / (1.0 + math.exp(-1.0)), rel=1e-14)
 
     def test_reverse_density_shares_forward_scale(self):
-        params = AdaptParams(eps=0.1)
+        params = AdaptiveSampler(eps=0.1)
         state = self._state_with_history()
         stream = split(12, 0)
         scale = sigma_update(
@@ -216,7 +215,7 @@ class TestAdaptivePropose:
         )
 
     def test_zero_density_proposal_auto_rejects(self):
-        sampler = AdaptiveSampler(AdaptParams(eps=1.0))
+        sampler = AdaptiveSampler(eps=1.0)
         state = init_state(BOX22, [0.25, 0.25])
         state = ChainState(
             theta=state.theta,
@@ -334,14 +333,14 @@ class TestMhAccept:
 
 class TestLeapfrog:
     def test_hand_single_step(self):
-        params = HmcParams(eps_leap=0.1, n_leap=1)
+        params = HmcSampler(eps_leap=0.1, n_leap=1)
         theta, p, diverged, _ = leapfrog([1.0], [0.0], NORMAL1.grad_log_density([1.0]), params, NORMAL1)
         assert not diverged
         assert theta[0] == pytest.approx(0.995, abs=1e-15)
         assert p[0] == pytest.approx(-0.09975, abs=1e-15)
 
     def test_reversibility(self):
-        params = HmcParams(eps_leap=0.05, n_leap=30)
+        params = HmcSampler(eps_leap=0.05, n_leap=30)
         theta0 = np.array([0.9, -1.4])
         p0 = np.array([0.3, 0.8])
         theta1, p1, _, _ = leapfrog(theta0, p0, NORMAL2.grad_log_density(theta0), params, NORMAL2)
@@ -351,25 +350,25 @@ class TestLeapfrog:
 
     def test_matches_tiny_step_integrator(self):
         grad = NORMAL1.grad_log_density([1.0])
-        coarse, _, _, _ = leapfrog([1.0], [0.5], grad, HmcParams(eps_leap=0.05, n_leap=20), NORMAL1)
-        fine, _, _, _ = leapfrog([1.0], [0.5], grad, HmcParams(eps_leap=0.0005, n_leap=2000), NORMAL1)
+        coarse, _, _, _ = leapfrog([1.0], [0.5], grad, HmcSampler(eps_leap=0.05, n_leap=20), NORMAL1)
+        fine, _, _, _ = leapfrog([1.0], [0.5], grad, HmcSampler(eps_leap=0.0005, n_leap=2000), NORMAL1)
         assert coarse[0] == pytest.approx(fine[0], abs=5e-4)
 
     def test_divergence_flag_on_box_exit(self):
-        params = HmcParams(eps_leap=0.5, n_leap=5)
+        params = HmcSampler(eps_leap=0.5, n_leap=5)
         start = [0.25, 0.25]
         _, _, diverged, _ = leapfrog(start, [3.0, 0.0], BOX22.grad_log_density(start), params, BOX22)
         assert diverged
 
     @pytest.mark.parametrize("target,theta0", [(BOX22, [0.3, 0.2]), (NORMAL2, [0.9, -1.4])])
     def test_returns_gradient_at_end_point(self, target, theta0):
-        params = HmcParams(eps_leap=0.01, n_leap=7)
+        params = HmcSampler(eps_leap=0.01, n_leap=7)
         theta, _, diverged, grad = leapfrog(theta0, [0.5, -0.2], target.grad_log_density(theta0), params, target)
         assert not diverged
         assert grad.tolist() == np.asarray(target.grad_log_density(theta)).tolist()
 
     def test_diverged_trajectory_returns_no_gradient(self):
-        params = HmcParams(eps_leap=0.5, n_leap=5)
+        params = HmcSampler(eps_leap=0.5, n_leap=5)
         start = [0.25, 0.25]
         *_, diverged, grad = leapfrog(start, [3.0, 0.0], BOX22.grad_log_density(start), params, BOX22)
         assert diverged and grad is None
@@ -388,7 +387,7 @@ class TestLeapfrog:
         ],
     )
     def test_bits_match_oracle(self, target, theta0, p0, eps_leap, n_leap, as_array):
-        params = HmcParams(eps_leap=eps_leap, n_leap=n_leap)
+        params = HmcSampler(eps_leap=eps_leap, n_leap=n_leap)
         grad0 = np.asarray(target.grad_log_density(theta0), dtype=float).tolist()
         args = [theta0, p0, grad0]
         if as_array:
@@ -410,7 +409,7 @@ class TestLeapfrog:
 
 class TestHmcStep:
     def test_tiny_step_acceptance_probability(self):
-        params = HmcParams(eps_leap=1e-4, n_leap=1)
+        params = HmcSampler(eps_leap=1e-4, n_leap=1)
         stream = split(44, 0)
         for _ in range(100):
             theta0 = np.array(stream.normals(1))
@@ -422,7 +421,7 @@ class TestHmcStep:
 
     def test_energy_error_scales_second_order(self):
         def mean_abs_dh(eps):
-            params = HmcParams(eps_leap=eps, n_leap=10)
+            params = HmcSampler(eps_leap=eps, n_leap=10)
             stream = split(123, 0)
             total = 0.0
             for _ in range(1000):
@@ -438,11 +437,11 @@ class TestHmcStep:
 
     def test_divergent_trajectory_rejected(self):
         state = init_state(BOX22, [0.25, 0.25])
-        params = HmcParams(eps_leap=0.8, n_leap=10)
+        params = HmcSampler(eps_leap=0.8, n_leap=10)
         seed = next(
-            s for s in range(50) if not hmc_step(state, params, BOX22, split(s, 0))[1]
+            s for s in range(50) if not params.step(state, BOX22, split(s, 0))[1]
         )
-        new, accepted = hmc_step(state, params, BOX22, split(seed, 0))
+        new, accepted = params.step(state, BOX22, split(seed, 0))
         assert not accepted
         np.testing.assert_array_equal(new.theta, state.theta)
 
@@ -460,12 +459,12 @@ class TestHmcStep:
 
         target = Counting([(1.0, np.zeros(2), np.ones(2))])
         state = init_state(target, [0.1, 0.2])
-        params = HmcParams(eps_leap=0.1, n_leap=5)
+        params = HmcSampler(eps_leap=0.1, n_leap=5)
         stream = split(8, 0)
         accepts = 0
         for _ in range(20):
             target.calls.update(log_density=0, grad=0)
-            state, accepted = hmc_step(state, params, target, stream)
+            state, accepted = params.step(state, target, stream)
             accepts += accepted
             # the start gradient is state.grad and an accepted state keeps
             # the trajectory's last gradient
@@ -475,18 +474,18 @@ class TestHmcStep:
 
     def test_deterministic(self):
         state = init_state(NORMAL2, [0.1, 0.2])
-        params = HmcParams(eps_leap=0.1, n_leap=5)
-        a, acc_a = hmc_step(state, params, NORMAL2, split(6, 1))
-        b, acc_b = hmc_step(state, params, NORMAL2, split(6, 1))
+        params = HmcSampler(eps_leap=0.1, n_leap=5)
+        a, acc_a = params.step(state, NORMAL2, split(6, 1))
+        b, acc_b = params.step(state, NORMAL2, split(6, 1))
         assert acc_a == acc_b
         np.testing.assert_array_equal(a.theta, b.theta)
         assert a.sigma is None  # HMC makes no Langevin proposal
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            HmcParams(eps_leap=0.0)
+            HmcSampler(eps_leap=0.0)
         with pytest.raises(ValueError):
-            HmcParams(n_leap=0)
+            HmcSampler(n_leap=0)
 
 
 class TestInvariance:
@@ -529,7 +528,11 @@ class TestInvariance:
         assert abs(z) <= 4.0, f"E[x^2] = {means.mean():.4f}, z = {z:.1f}"
 
     @pytest.mark.parametrize(
-        "block", [pytest.param({"name": "hmc", "eps_leap": 0.3, "n_leap": 5}, id="hmc")]
+        "block",
+        [
+            pytest.param({"name": "mala", "eps": 1.0}, id="mala"),
+            pytest.param({"name": "hmc", "eps_leap": 0.3, "n_leap": 5}, id="hmc"),
+        ],
     )
     def test_moments_of_mixture(self, block):
         chains = 8
@@ -615,7 +618,7 @@ class TestRunChain:
 
     def test_full_adaptation_block_round_trips(self):
         sampler = make_sampler({"name": "adaptive", "eps": 0.2, "beta": 1.4, "xi": 0.3})
-        assert sampler.params == AdaptParams(eps=0.2, beta=1.4, xi=0.3)
+        assert sampler == AdaptiveSampler(eps=0.2, beta=1.4, xi=0.3)
 
     @pytest.mark.parametrize(
         "cfg",

@@ -172,7 +172,7 @@ class TestBoxValidation:
             ParticleBox2D(1.0, 1.0, 0, 1)
 
     def test_mode_centers(self):
-        np.testing.assert_allclose(BOX22.first_mode_center(), [0.25, 0.25])
+        np.testing.assert_allclose(BOX22.mode_centers()[0], [0.25, 0.25])
         centers = BOX22.mode_centers()
         assert centers.shape == (4, 2)
         for c in centers:
