@@ -61,12 +61,12 @@ class ExperimentConfig:
         for what, block in [("target", self.target)] + [("sampler", s) for s in self.samplers]:
             if not isinstance(block, dict):
                 raise ValueError(f"{what} block must be a JSON object, got {block!r}")
-        names = [s.get("name") for s in self.samplers]
+        for s in self.samplers:
+            make_sampler(s)
+        names = [s["name"] for s in self.samplers]
         if len(set(names)) != len(names):
             raise ValueError("sampler names must be unique (files are named by sampler)")
         target = make_target(self.target.get("name"), self.target)
-        for s in self.samplers:
-            make_sampler(s)
         init = resolve_init(self.init, target)
         if target.log_density(init) == NEG_INF:
             raise ValueError(f"init {init.tolist()} is not a point of positive target density")

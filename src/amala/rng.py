@@ -10,15 +10,22 @@ with the SplitMix64 finalizer and golden-ratio increment. Uniform doubles
 take the top 53 bits. Normal variates use the trigonometric Box-Muller
 transform and consume exactly two uniforms each; this choice is fixed
 because output files are hashed for reproducibility checks.
+
+Uniforms are computed a block of consecutive counters at a time in numpy
+uint64 arithmetic, which wraps mod 2**64 like the masked integer form, so a
+block holds the same bits as the scalar formula; it is only a cache.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 2.0 ** -53
+_BLOCK = 512  # uniforms computed per refill
 
 
 def _mix64(x: int) -> int:
@@ -33,12 +40,28 @@ def _stream_key(seed: int, stream_id: int) -> int:
     return _mix64(_mix64(seed ^ _GAMMA) ^ _mix64(stream_id))
 
 
+def _uniforms(key: int, start: int, size: int) -> list[float]:
+    """The uniforms at counters start, ..., start + size - 1 (mod 2**64); array
+    operations only, as numpy scalar-with-scalar ones warn on overflow."""
+    x = np.arange(size, dtype=np.uint64) * np.uint64(_GAMMA)
+    x += np.uint64((key + start * _GAMMA) & _MASK64)
+    x ^= x >> 30
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> 27
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> 31
+    x >>= 11
+    return (x.astype(np.float64) * _INV_2_53).tolist()
+
+
 @dataclass
 class RngStream:
     """One single-owner random stream identified by (seed, stream_id).
 
     The counter is the only mutable state; a stream rebuilt from the same
-    seed, stream id and counter reproduces the exact same sequence.
+    seed, stream id and counter reproduces the exact same sequence. Draws
+    come from a cached block that is refilled whenever the counter lies
+    outside it, so an assigned or wrapped counter gives the same draws.
     """
 
     seed: int
@@ -49,32 +72,45 @@ class RngStream:
         self.seed &= _MASK64
         self.stream_id &= _MASK64
         self._key = _stream_key(self.seed, self.stream_id)
+        self._start = 0  # _block[j] is the uniform at counter _start + j
+        self._block = []
+
+    def _refill(self, size: int):
+        self._start = self.counter
+        self._block = _uniforms(self._key, self.counter, size)
 
     def next_uniform(self) -> float:
         """Return one double in [0, 1); advances the counter by 1.
 
-        The top 53 bits of mix64(key + counter * GAMMA), with the SplitMix64
-        finalizer written out inline because this is the innermost call of
-        every sampler.
+        The top 53 bits of mix64(key + counter * GAMMA), read from the block.
         """
-        x = (self._key + self.counter * _GAMMA) & _MASK64
+        i = self.counter - self._start
+        if not 0 <= i < len(self._block):
+            self._refill(_BLOCK)
+            i = 0
         self.counter = (self.counter + 1) & _MASK64
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return ((x ^ (x >> 31)) >> 11) * _INV_2_53
+        return self._block[i]
 
     def next_normal(self) -> float:
-        """Return one standard normal variate; advances the counter by 2.
-
-        Box-Muller: z = sqrt(-2 ln(1 - u1)) * cos(2 pi u2). The 1 - u1
-        shift keeps the log argument in (0, 1].
-        """
-        u1 = self.next_uniform()
-        u2 = self.next_uniform()
-        return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(_TWO_PI * u2)
+        """Return one standard normal variate; advances the counter by 2."""
+        return self.normals(1)[0]
 
     def normals(self, n: int) -> list[float]:
-        return [self.next_normal() for _ in range(n)]
+        """Return n standard normal variates; advances the counter by 2n.
+
+        Box-Muller: z = sqrt(-2 ln(1 - u1)) * cos(2 pi u2) for consecutive
+        uniforms u1, u2. The 1 - u1 shift keeps the log argument in (0, 1].
+        """
+        m = 2 * n
+        i = self.counter - self._start
+        if i < 0 or i + m > len(self._block):
+            self._refill(max(m, _BLOCK))
+            i = 0
+        self.counter = (self.counter + m) & _MASK64
+        u = self._block
+        return [
+            math.sqrt(-2.0 * math.log(1.0 - u[j])) * math.cos(_TWO_PI * u[j + 1]) for j in range(i, i + m, 2)
+        ]
 
 
 def split(seed: int, chain_id: int) -> RngStream:

@@ -84,14 +84,6 @@ class Chain:
         return float(self.accepted.mean())
 
 
-def gaussian_log_density(x, mean, scale: float) -> float:
-    """Log density of x under the isotropic Gaussian N(mean, scale * I)."""
-    x = np.asarray(x, dtype=float)
-    diff = x - np.asarray(mean, dtype=float)
-    d = diff.shape[0]
-    return -0.5 * d * math.log(2.0 * math.pi * scale) - float(np.dot(diff, diff)) / (2.0 * scale)
-
-
 def init_state(target: TargetDensity, init) -> ChainState:
     """Chain state at the starting point; rejects zero-density inits."""
     theta = np.asarray(init, dtype=float).copy()
@@ -108,18 +100,25 @@ def langevin_propose(
     """Langevin proposal N(theta + (eps^2/2) grad, scale * I) with both densities.
 
     MALA passes scale = eps^2; the adaptive sampler passes its history-driven
-    scale. The reverse density reuses the forward scale.
+    scale. The reverse density reuses the forward scale, so both Gaussian log
+    densities, -(d/2) log(2 pi scale) - |x - mean|^2 / (2 scale), share one
+    log-normaliser.
     """
+    theta = state.theta
+    d = theta.shape[0]
     drift = 0.5 * eps * eps
-    mean_fwd = state.theta + drift * state.grad
-    z = np.array(stream.normals(state.theta.shape[0]))
-    theta_star = mean_fwd + math.sqrt(scale) * z
-    log_q_fwd = gaussian_log_density(theta_star, mean_fwd, scale)
+    two_scale = 2.0 * scale
+    log_norm = -0.5 * d * math.log(2.0 * math.pi * scale)
+    mean_fwd = theta + drift * state.grad
+    theta_star = mean_fwd + math.sqrt(scale) * np.array(stream.normals(d))
+    diff = theta_star - mean_fwd
+    log_q_fwd = log_norm - float(np.dot(diff, diff)) / two_scale
     log_p_star = target.log_density(theta_star)
     if log_p_star == NEG_INF:
         return Proposal(theta_star, scale, log_q_fwd, math.nan, log_p_star, auto_reject=True)
     grad_star = np.asarray(target.grad_log_density(theta_star), dtype=float)
-    log_q_rev = gaussian_log_density(state.theta, theta_star + drift * grad_star, scale)
+    diff = theta - (theta_star + drift * grad_star)
+    log_q_rev = log_norm - float(np.dot(diff, diff)) / two_scale
     return Proposal(theta_star, scale, log_q_fwd, log_q_rev, log_p_star, grad_star)
 
 
@@ -172,8 +171,10 @@ def leapfrog(
     The loop updates float lists in place (the same IEEE operations as the
     vector form, without numpy overhead on short vectors) and fuses the
     closing and opening half-kicks of consecutive iterations as
-    (p + h*g) + h*g, the same two adds in the same order. The target gets
-    the working position list, which changes after the call.
+    (p + h*g) + h*g, the same two adds in the same order. Each iteration
+    kicks and drifts coordinate i in one pass, since theta[i] depends on
+    p[i] alone. The target gets the working position list, which changes
+    after the call.
     """
     eps = params.eps_leap
     half = 0.5 * eps
@@ -181,14 +182,13 @@ def leapfrog(
     p = np.asarray(momentum, dtype=float).tolist()
     g = np.asarray(grad, dtype=float).tolist()
     dims = range(len(theta))
-    for i in dims:
-        p[i] = p[i] + half * g[i]
     for k in range(params.n_leap):
-        if k:
-            for i in dims:
-                p[i] = (p[i] + half * g[i]) + half * g[i]
         for i in dims:
-            theta[i] = theta[i] + eps * p[i]
+            q = p[i] + half * g[i]
+            if k:
+                q = q + half * g[i]
+            p[i] = q
+            theta[i] = theta[i] + eps * q
         try:
             g = target.grad_log_density(theta)
         except ValueError:
@@ -289,7 +289,7 @@ def make_sampler(cfg: Mapping):
     every other key is one of its keyword arguments."""
     cfg = dict(cfg)
     name = cfg.pop("name", None)
-    if name not in _SAMPLERS:
+    if not isinstance(name, str) or name not in _SAMPLERS:
         raise ValueError(f"unknown sampler: {name!r}")
     return _SAMPLERS[name](**cfg)
 

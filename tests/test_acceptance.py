@@ -6,6 +6,7 @@ sums, hand Gaussian densities, exact inverse-CDF draws) so every asserted
 number is independent of the code path it checks.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -34,6 +35,16 @@ BENCH_EPS = 0.03
 BENCH_N = 50_000
 BENCH_BURN_IN = 1000
 BENCH_SEEDS = (1, 2, 3, 4, 5)
+# sha256 of json.dumps(manifest["files"], sort_keys=True) for each benchmark
+# seed: pins every hashed file of the five full-length chains, recorded
+# with the scalar SplitMix64 generator and separate density calls
+BENCH_FILES_DIGESTS = {
+    1: "bd1b278860646f7977d8ed7067407b7ec548c851bfb9c0739c705de3481b99cf",
+    2: "3573e21d01c1b66733559710f7af062218ea3a29b5643531ac90238d6b0990a9",
+    3: "60364464621ed68925743077f2951a436b2fe060b0809a79d4e04a5379554d02",
+    4: "45a8ec87ee42be2525b1c668feea716b0e6be09d6f75faa7ee9b54a74d523bc6",
+    5: "8d190097a4d7327025d103ffc141327c0ffe062f32767d79a84fc8e55e360fcb",
+}
 
 
 def _criterion(num: int, label: str, ok: bool, detail: str = ""):
@@ -272,6 +283,8 @@ def test_criterion_7_benchmark_reproduction(tmp_path):
             grid_res=32,
         )
         manifest = run_experiment(config)
+        files = json.dumps(manifest["files"], sort_keys=True).encode()
+        assert hashlib.sha256(files).hexdigest() == BENCH_FILES_DIGESTS[seed]
         # the tuned eps is part of the recorded manifest config, and the
         # full-scale diagnostics carry the box-only fields
         written = json.loads((tmp_path / f"seed{seed}" / "manifest.json").read_text())

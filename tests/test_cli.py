@@ -134,6 +134,8 @@ class TestConfig:
             {"target": MIX_TARGET, "init": ["0.3", "0.4"]},
             {"target": MIX_TARGET, "init": [True, True]},
             {"target": MIX_TARGET, "init": [[0.1, 0.2]]},
+            {"samplers": [{"name": ["mala"], "eps": 0.1}]},
+            {"samplers": [{"name": {"a": 1}, "eps": 0.1}]},
         ],
     )
     def test_validation(self, overrides):
@@ -446,6 +448,8 @@ class TestMain:
             ({"n": 1}, "n"),
             ({"samplers": [{"name": "adaptive", "eps": 0.1, "xi": "0.5"}]}, "xi"),
             ({"target": MIX_TARGET, "init": ["0.3", "0.4"]}, "init element"),
+            ({"samplers": [{"name": ["mala"], "eps": 0.1}]}, "unknown sampler:"),
+            ({"samplers": [{"name": {"a": 1}, "eps": 0.1}]}, "unknown sampler:"),
         ],
     )
     def test_bad_field_exits_before_output(self, tmp_path, capsys, overrides, field):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -84,3 +86,102 @@ def test_extreme_seeds_accepted(seed):
     s = split(seed, 0)
     u = s.next_uniform()
     assert 0.0 <= u < 1.0
+
+
+# -- block generation against the scalar formula ------------------------------
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def uniform_oracle(stream):
+    """The scalar SplitMix64 uniform: the reference for the block-generated draws."""
+    x = (stream._key + stream.counter * _GAMMA) & _MASK64
+    stream.counter = (stream.counter + 1) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return ((x ^ (x >> 31)) >> 11) * 2.0**-53
+
+
+def normal_oracle(stream):
+    """The scalar Box-Muller normal built on uniform_oracle."""
+    u1 = uniform_oracle(stream)
+    u2 = uniform_oracle(stream)
+    return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
+
+
+# (method, argument) calls: 28 uniforms, 483 more so that the next normal
+# reads the last uniform of the block filled at the first call and the first
+# of the next, then two normals(300) around a uniform and a normal; 1716
+# uniforms in all
+MIXED_CALLS = (
+    [
+        ("next_normal", None),
+        ("next_uniform", None),
+        ("normals", 1),
+        ("normals", 0),
+        ("next_normal", None),
+        ("normals", 3),
+        ("next_uniform", None),
+        ("normals", 7),
+    ]
+    + [("next_uniform", None)] * 483
+    + [("next_normal", None), ("normals", 300), ("next_uniform", None)]
+    + [("next_normal", None), ("normals", 300)]
+)
+
+
+def replay(stream, calls):
+    out = []
+    for method, arg in calls:
+        value = getattr(stream, method)() if arg is None else getattr(stream, method)(arg)
+        out.extend(value if isinstance(value, list) else [value])
+    return out
+
+
+def replay_oracle(stream, calls):
+    out = []
+    for method, arg in calls:
+        if method == "next_uniform":
+            out.append(uniform_oracle(stream))
+        elif method == "next_normal":
+            out.append(normal_oracle(stream))
+        else:
+            out.extend(normal_oracle(stream) for _ in range(arg))
+    return out
+
+
+@pytest.mark.parametrize("start", [0, 511, 2**64 - 3])
+def test_block_draws_equal_scalar_oracle(start, monkeypatch):
+    refills = []
+    refill = RngStream._refill
+
+    def counting_refill(self, size):
+        refills.append(self.counter)
+        refill(self, size)
+
+    monkeypatch.setattr(RngStream, "_refill", counting_refill)
+    stream = RngStream(seed=2024, stream_id=5, counter=start)
+    oracle = RngStream(seed=2024, stream_id=5, counter=start)
+    assert replay(stream, MIXED_CALLS) == replay_oracle(oracle, MIXED_CALLS)
+    assert stream.counter == oracle.counter == (start + 1716) & _MASK64
+    # the first block, each normals(300), and either the normal that
+    # straddles the first block's edge or the wrap to counter 0
+    assert len(refills) >= 4
+    assert (0 if start > 2**64 - 512 else start + 511) in refills
+    # a counter assigned outside the block, then backwards and forwards
+    # inside it, serves the draws of that counter, not the next cached ones
+    for jump, refilled in ((-700, True), (-3, False), (5, False), (1000, True)):
+        before = len(refills)
+        stream.counter = oracle.counter = (oracle.counter + jump) & _MASK64
+        assert replay(stream, MIXED_CALLS[:9]) == replay_oracle(oracle, MIXED_CALLS[:9])
+        assert stream.counter == oracle.counter
+        assert (len(refills) > before) == refilled
+
+
+def test_counter_wraps_past_2_64():
+    stream = RngStream(seed=9, stream_id=1, counter=2**64 - 1)
+    oracle = RngStream(seed=9, stream_id=1, counter=2**64 - 1)
+    assert stream.normals(2) == [normal_oracle(oracle) for _ in range(2)]
+    assert stream.counter == oracle.counter == 3
+    assert stream.next_uniform() == RngStream(seed=9, stream_id=1, counter=3).next_uniform()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -91,6 +92,31 @@ class ArrayGradBox(ParticleBox2D):
 def gauss_logpdf_oracle(x, mean, scale):
     """Independent isotropic Gaussian log density via scipy."""
     return float(np.sum(stats.norm.logpdf(np.asarray(x), np.asarray(mean), math.sqrt(scale))))
+
+
+def gaussian_log_density_oracle(x, mean, scale):
+    """Log density of x under N(mean, scale * I) as a standalone function:
+    the bit-level reference for the densities langevin_propose inlines."""
+    x = np.asarray(x, dtype=float)
+    diff = x - np.asarray(mean, dtype=float)
+    d = diff.shape[0]
+    return -0.5 * d * math.log(2.0 * math.pi * scale) - float(np.dot(diff, diff)) / (2.0 * scale)
+
+
+def langevin_propose_oracle(state, target, eps, scale, stream):
+    """langevin_propose with a separate density call per side and no shared
+    terms: the bit-level reference for the inlined proposal."""
+    drift = 0.5 * eps * eps
+    mean_fwd = state.theta + drift * state.grad
+    z = np.array(stream.normals(state.theta.shape[0]))
+    theta_star = mean_fwd + math.sqrt(scale) * z
+    log_q_fwd = gaussian_log_density_oracle(theta_star, mean_fwd, scale)
+    log_p_star = target.log_density(theta_star)
+    if log_p_star == NEG_INF:
+        return Proposal(theta_star, scale, log_q_fwd, math.nan, log_p_star, auto_reject=True)
+    grad_star = np.asarray(target.grad_log_density(theta_star), dtype=float)
+    log_q_rev = gaussian_log_density_oracle(state.theta, theta_star + drift * grad_star, scale)
+    return Proposal(theta_star, scale, log_q_fwd, log_q_rev, log_p_star, grad_star)
 
 
 def mala_propose(state, target, eps, stream):
@@ -231,6 +257,47 @@ class TestAdaptivePropose:
         # psi and two normals (four uniforms) drawn, no acceptance uniform
         assert not accepted and stream.counter == 5
         np.testing.assert_array_equal(new.theta, state.theta)
+
+
+class TestProposeOracle:
+    """langevin_propose against langevin_propose_oracle: the same IEEE
+    operations on the same operands, so every field is bit-equal."""
+
+    @staticmethod
+    def _bits(value):
+        return None if value is None else np.asarray(value, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["eps2", "adaptive-scale"])
+    @pytest.mark.parametrize(
+        "target,theta,eps",
+        [
+            pytest.param(BOX22, [0.3, 0.2], 0.03, id="box-interior"),
+            pytest.param(BOX22, [0.5 + 1e-9, 0.25], 1e-4, id="box-nodal-clamped"),
+            pytest.param(BOX22, [0.25, 0.25], 5.0, id="box-auto-reject"),
+            pytest.param(standard_normal(32), [0.1 * k - 1.6 for k in range(32)], 0.8, id="normal32"),
+            pytest.param(MIX2, [-1.0, 0.0], 0.6, id="mix2"),
+        ],
+    )
+    def test_bits_match_oracle(self, target, theta, eps, adaptive):
+        state = init_state(target, theta)
+        if adaptive:
+            # a history-driven scale, as the adaptive kernel draws it
+            history = (state.theta, 1.1 * state.theta, state.grad, 0.9 * state.grad, eps)
+            scale = sigma_update(*history, AdaptiveSampler(eps=eps), split(7, 1))
+            assert scale != eps * eps
+        else:
+            scale = eps * eps
+        stream, oracle_stream = split(7, 0), split(7, 0)
+        props = [langevin_propose(state, target, eps, scale, stream) for _ in range(40)]
+        want = [langevin_propose_oracle(state, target, eps, scale, oracle_stream) for _ in range(40)]
+        assert stream.counter == oracle_stream.counter
+        for prop, oracle in zip(props, want):
+            for f in dataclasses.fields(Proposal):
+                assert self._bits(getattr(prop, f.name)) == self._bits(getattr(oracle, f.name)), f.name
+        if eps == 5.0:
+            assert any(p.auto_reject for p in props)
+        if eps == 1e-4:
+            assert state.grad[0] == BOX22.gmax and not any(p.auto_reject for p in props)
 
 
 class TestMhAccept:
@@ -602,6 +669,9 @@ class TestRunChain:
     def test_unknown_sampler(self):
         with pytest.raises(ValueError):
             make_sampler({"name": "nuts"})
+        # a non-string name is unknown too, not an unhashable-type error
+        with pytest.raises(ValueError, match=r"unknown sampler: \['mala'\]"):
+            make_sampler({"name": ["mala"], "eps": 0.1})
 
     @pytest.mark.parametrize(
         "cfg",
