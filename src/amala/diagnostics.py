@@ -7,7 +7,7 @@ lag K where rho(K) + rho(K+1) turns negative.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -125,15 +125,7 @@ class DiagnosticsReport:
     fisher_trace: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "acf": [[float(v) for v in row] for row in self.acf],
-            "ess": [float(v) for v in self.ess],
-            "acceptance_rate": float(self.acceptance_rate),
-            "wall_time_s": float(self.wall_time_s),
-            "tv_distance": None if self.tv_distance is None else float(self.tv_distance),
-            "mode_coverage": None if self.mode_coverage is None else float(self.mode_coverage),
-            "fisher_trace": None if self.fisher_trace is None else float(self.fisher_trace),
-        }
+        return {**asdict(self), "acf": self.acf.tolist(), "ess": self.ess.tolist()}
 
 
 def build_report(chain, target: TargetDensity, grid_res: int = 32, max_lag: int = 200) -> DiagnosticsReport:

@@ -1,8 +1,9 @@
 """Samplers: classic MALA, the adaptive-scale Langevin sampler, and HMC.
 
-All three share the ChainState bookkeeping. The Langevin pair share one
-proposal (langevin_propose) and one Metropolis-Hastings step (mh_accept):
-proposals are isotropic Gaussians N(theta + (eps^2/2) grad, scale * I),
+All three kernels share the ChainState bookkeeping and one
+Metropolis-Hastings step (mh_accept); HMC's momentum densities fill the
+proposal slots. The Langevin pair also share one proposal
+(langevin_propose): isotropic Gaussians N(theta + (eps^2/2) grad, scale * I),
 MALA with the fixed scale eps^2 and the adaptive sampler with a fresh
 stochastic scale drawn each step from the trajectory history.
 
@@ -16,9 +17,10 @@ of about 0.93 instead of 1 on a 2D standard normal at eps = 1).
 Each sampler class is a dataclass whose fields are exactly the keys of its
 config block besides "name"; make_sampler builds one from that block.
 
-Stream-draw order per step is fixed (scale update if any, proposal noise,
-acceptance uniform) so chains replay bit-identically; zero-density
-proposals are auto-rejected without consuming the acceptance uniform.
+Stream-draw order per step is fixed (scale update if any, proposal noise or
+momentum, acceptance uniform) so chains replay bit-identically; proposals
+on zero-density points and diverged HMC trajectories are auto-rejected
+without consuming the acceptance uniform.
 """
 
 import math
@@ -47,17 +49,21 @@ class ChainState:
 
 @dataclass
 class Proposal:
-    """One Gaussian proposal with both transition densities.
+    """One Metropolis-Hastings proposal with the densities of its auxiliary draw.
 
-    log_q_fwd is the log density of theta_star under the forward kernel
-    N(theta + (eps^2/2) grad, cov_scale_fwd * I); log_q_rev the log density
-    of the current point under the reverse kernel centered at theta_star.
-    Proposals landing on zero-density points carry auto_reject and no
-    gradient (the reverse mean is undefined there).
+    log_q_fwd is the log density of the draw that makes the move, log_q_rev
+    that of the draw that would make the reverse move. For a Langevin move
+    the draw is the Gaussian noise: theta_star under N(theta + (eps^2/2)
+    grad, cov_scale_fwd * I), and the current point under the reverse kernel
+    centered at theta_star. For HMC it is the momentum, -|p|^2/2 at the
+    start and at the end of the trajectory. cov_scale_fwd is the scale the
+    next state records as sigma (None for HMC). Proposals landing on
+    zero-density points, and diverged trajectories, carry auto_reject,
+    log_p_star -inf and no gradient.
     """
 
     theta_star: np.ndarray
-    cov_scale_fwd: float
+    cov_scale_fwd: float | None
     log_q_fwd: float
     log_q_rev: float
     log_p_star: float
@@ -85,12 +91,15 @@ class Chain:
 
 
 def init_state(target: TargetDensity, init) -> ChainState:
-    """Chain state at the starting point; rejects zero-density inits."""
+    """Chain state at the starting point; rejects zero-density inits and a
+    gradient whose shape is not the point's."""
     theta = np.asarray(init, dtype=float).copy()
     log_p = target.log_density(theta)
     if log_p == NEG_INF:
         raise ValueError("initial point has zero density under the target")
     grad = np.asarray(target.grad_log_density(theta), dtype=float)
+    if grad.shape != theta.shape:
+        raise ValueError(f"gradient has shape {grad.shape} at a point of shape {theta.shape}")
     return ChainState(theta=theta, log_p=log_p, grad=grad)
 
 
@@ -129,32 +138,24 @@ def log_accept_ratio(state: ChainState, prop: Proposal) -> float:
     return prop.log_p_star + prop.log_q_rev - state.log_p - prop.log_q_fwd
 
 
-def _advance(state: ChainState, theta, log_p, grad, sigma: float | None = None) -> ChainState:
-    # history shifts forward on accept and reject alike, so repeated
-    # rejection drives the norm ratios to 1 and shrinks the adaptive scale
-    return ChainState(
-        theta=theta,
-        log_p=log_p,
-        grad=grad,
-        theta_prev=state.theta,
-        grad_prev=state.grad,
-        sigma=sigma,
-    )
-
-
 def mh_accept(state: ChainState, prop: Proposal, stream: RngStream) -> tuple[ChainState, bool]:
     """Metropolis-Hastings accept/reject; returns the next state.
 
-    Zero-density proposals reject without consuming a uniform; every other
-    step consumes exactly one.
+    A proposal whose log ratio is -inf (auto-rejected or not) rejects
+    without consuming a uniform; every other step consumes exactly one.
     """
     log_alpha = log_accept_ratio(state, prop)
-    sigma = prop.cov_scale_fwd
+    accepted = False
     if log_alpha != NEG_INF:
         u = stream.next_uniform()
-        if log_alpha >= 0.0 or u < math.exp(log_alpha):
-            return _advance(state, prop.theta_star, prop.log_p_star, prop.grad_star, sigma), True
-    return _advance(state, state.theta, state.log_p, state.grad, sigma), False
+        accepted = log_alpha >= 0.0 or u < math.exp(log_alpha)
+    # history shifts forward on accept and reject alike, so repeated
+    # rejection drives the norm ratios to 1 and shrinks the adaptive scale
+    if accepted:
+        theta, log_p, grad = prop.theta_star, prop.log_p_star, prop.grad_star
+    else:
+        theta, log_p, grad = state.theta, state.log_p, state.grad
+    return ChainState(theta, log_p, grad, state.theta, state.grad, prop.cov_scale_fwd), accepted
 
 
 def leapfrog(
@@ -261,24 +262,22 @@ class HmcSampler:
             raise ValueError(f"n_leap must be an integer >= 1, got {self.n_leap!r}")
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
-        """One HMC transition: momentum refresh, leapfrog, energy-error accept.
+        """One HMC transition: momentum refresh, leapfrog, Metropolis-Hastings
+        on (theta, p) with the momentum densities as the proposal densities,
+        so log alpha is the energy error h_old - h_new.
 
         Leapfrog starts from the cached state.grad and an accepted state keeps
         its last gradient: a step costs n_leap gradients and one log density.
         """
-        d = state.theta.shape[0]
-        p0 = np.array(stream.normals(d))
+        p0 = np.array(stream.normals(state.theta.shape[0]))
         theta_star, p_star, diverged, grad_star = leapfrog(state.theta, p0, state.grad, self, target)
+        log_q_fwd = -0.5 * float(np.dot(p0, p0))
         if diverged:
-            return _advance(state, state.theta, state.log_p, state.grad), False
-        log_p_star = target.log_density(theta_star)
-        h_old = -state.log_p + 0.5 * float(np.dot(p0, p0))
-        h_new = -log_p_star + 0.5 * float(np.dot(p_star, p_star))
-        log_alpha = h_old - h_new
-        u = stream.next_uniform()
-        if log_alpha >= 0.0 or u < math.exp(log_alpha):
-            return _advance(state, theta_star, log_p_star, grad_star), True
-        return _advance(state, state.theta, state.log_p, state.grad), False
+            prop = Proposal(theta_star, None, log_q_fwd, math.nan, NEG_INF, None, True)
+        else:
+            log_q_rev = -0.5 * float(np.dot(p_star, p_star))
+            prop = Proposal(theta_star, None, log_q_fwd, log_q_rev, target.log_density(theta_star), grad_star)
+        return mh_accept(state, prop, stream)
 
 
 _SAMPLERS = {cls.name: cls for cls in (MalaSampler, AdaptiveSampler, HmcSampler)}

@@ -81,35 +81,24 @@ class ParticleBox2D(TargetDensity):
         self._kx = 2.0 * (self.nx * math.pi / self.lx)
         self._ky = 2.0 * (self.ny * math.pi / self.ly)
 
-    def _scaled_position(self, point) -> tuple[float, float] | None:
-        """Scaled coordinates (nx*x/Lx, ny*y/Ly) of a point strictly inside the
-        box and off the nodal lines, else None.
-
-        Integer scaled coordinates (including the box walls) are exactly where
-        a standing-wave factor sin(pi*t) vanishes.
-        """
+    def log_density(self, point) -> float:
         x = float(point[0])
         y = float(point[1])
         if x <= 0.0 or x >= self.lx or y <= 0.0 or y >= self.ly:
-            return None
+            return NEG_INF
+        # integer scaled coordinates (nx*x/Lx, ny*y/Ly), the box walls
+        # included, are exactly where a factor sin(pi*t) vanishes
         tx = self.nx * x / self.lx
         ty = self.ny * y / self.ly
         if tx == math.floor(tx) or ty == math.floor(ty):
-            return None
-        return tx, ty
-
-    def log_density(self, point) -> float:
-        t = self._scaled_position(point)
-        if t is None:
             return NEG_INF
-        sx = math.sin(math.pi * t[0])
-        sy = math.sin(math.pi * t[1])
+        sx = math.sin(math.pi * tx)
+        sy = math.sin(math.pi * ty)
         if sx == 0.0 or sy == 0.0:
             return NEG_INF
         return self._log_norm + 2.0 * math.log(abs(sx)) + 2.0 * math.log(abs(sy))
 
     def grad_log_density(self, point) -> list[float]:
-        # _scaled_position inlined: this is HMC's per-leapfrog-step call
         x = float(point[0])
         y = float(point[1])
         if x <= 0.0 or x >= self.lx or y <= 0.0 or y >= self.ly:

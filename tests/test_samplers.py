@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from amala import samplers
 from amala.adaptation import sigma_update
 from amala.rng import RngStream, split
 from amala.samplers import (
@@ -512,6 +513,70 @@ class TestHmcStep:
         assert not accepted
         np.testing.assert_array_equal(new.theta, state.theta)
 
+    def test_divergence_rejects_without_acceptance_uniform(self):
+        # a diverged trajectory consumes its d momentum normals (2 uniforms
+        # each) and no acceptance uniform; a completed one consumes one more
+        target = RefusalCountingBox()
+        state = init_state(target, [0.25, 0.25])
+        params = HmcSampler(eps_leap=0.1, n_leap=5)
+        d = state.theta.shape[0]
+        seen = set()
+        for seed in range(50):
+            stream = split(seed, 0)
+            refused = target.refused
+            new, accepted = params.step(state, target, stream)
+            diverged = target.refused > refused
+            seen.add(diverged)
+            if diverged:
+                assert not accepted
+                assert stream.counter == 2 * d
+                np.testing.assert_array_equal(new.theta, state.theta)
+                np.testing.assert_array_equal(new.theta_prev, state.theta)
+                assert new.log_p == state.log_p and new.grad is state.grad and new.sigma is None
+            else:
+                assert stream.counter == 2 * d + 1
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize(
+        "target,theta0,eps_leap,n_leap",
+        [
+            pytest.param(BOX22, [0.3, 0.2], 0.05, 20, id="box"),
+            pytest.param(NORMAL2, [0.9, -1.4], 0.3, 5, id="normal2"),
+            pytest.param(MIX2, [-1.0, 0.0], 0.6, 5, id="mix2"),
+        ],
+    )
+    def test_log_ratio_is_the_energy_error(self, monkeypatch, target, theta0, eps_leap, n_leap):
+        # HMC is Metropolis-Hastings on (theta, p): the proposal it hands to
+        # mh_accept must give log alpha = h_old - h_new, replayed here from
+        # the same momentum draw
+        handed = []
+
+        def capture(state, prop, stream):
+            handed.append(prop)
+            return mh_accept(state, prop, stream)
+
+        monkeypatch.setattr(samplers, "mh_accept", capture)
+        params = HmcSampler(eps_leap=eps_leap, n_leap=n_leap)
+        state = init_state(target, theta0)
+        stream = split(21, 0)
+        checked = 0
+        for _ in range(60):
+            twin = split(21, 0)
+            twin.counter = stream.counter
+            p0 = np.array(twin.normals(state.theta.shape[0]))
+            theta1, p1, diverged, _ = leapfrog(state.theta, p0, state.grad, params, target)
+            new, _ = params.step(state, target, stream)
+            prop = handed.pop()
+            assert prop.auto_reject == diverged and prop.cov_scale_fwd is None
+            if not diverged:
+                assert prop.theta_star.tobytes() == theta1.tobytes()
+                h_old = -state.log_p + 0.5 * float(np.dot(p0, p0))
+                h_new = -target.log_density(theta1) + 0.5 * float(np.dot(p1, p1))
+                assert log_accept_ratio(state, prop) == pytest.approx(h_old - h_new, rel=1e-12)
+                checked += 1
+            state = new
+        assert checked >= 40
+
     def test_one_trajectory_of_gradients_per_step(self):
         class Counting(GaussianMixture):
             calls = {"log_density": 0, "grad": 0}
@@ -743,7 +808,8 @@ class TestGoldenChains:
     The digests were recorded before any performance work on the sampling
     path; a change that alters one changed the arithmetic or the draw order.
     The box HMC chain diverges on 35 of its 350 trajectories, so it also
-    pins the divergence path.
+    pins the divergence path. The MIX2 chains pin the multi-component numpy
+    gradient; their HMC chain rejects 27 of its 300 kept steps.
     """
 
     @pytest.mark.parametrize(
@@ -779,8 +845,35 @@ class TestGoldenChains:
                 [0.0, 0.0, 0.0],
                 "67424cfe6455ec6955284a37b37e8e267ec4d61015987745cd70e4d9f0f9951d",
             ),
+            (
+                {"name": "adaptive", "eps": 0.8},
+                MIX2,
+                [-1.0, 0.0],
+                "7fa6add07c0b44bf4937a59928faffd61eaaeac7f4572e93cf305ca17488cbcf",
+            ),
+            (
+                {"name": "mala", "eps": 0.8},
+                MIX2,
+                [-1.0, 0.0],
+                "7ef48556cef1b76fd8ebf8e1803baff9467751188188c7fe53c215d3f9a7cbe5",
+            ),
+            (
+                {"name": "hmc", "eps_leap": 0.6, "n_leap": 5},
+                MIX2,
+                [-1.0, 0.0],
+                "195e6e1d24272da9ba9c82d96e4bf6543ced7580e20d776bf425a49abd0b253e",
+            ),
         ],
-        ids=["adaptive-box", "mala-box", "hmc-box", "adaptive-normal", "mala-normal"],
+        ids=[
+            "adaptive-box",
+            "mala-box",
+            "hmc-box",
+            "adaptive-normal",
+            "mala-normal",
+            "adaptive-mix2",
+            "mala-mix2",
+            "hmc-mix2",
+        ],
     )
     def test_digest(self, cfg, target, init, digest):
         chain = run_chain(cfg, target, 300, 50, init, seed=1, chain_id=0)

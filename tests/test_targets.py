@@ -309,6 +309,13 @@ class HalfPlaneTarget(TargetDensity):
 HALF_PLANE = HalfPlaneTarget()
 
 
+class ShortGradientTarget(HalfPlaneTarget):
+    """HalfPlaneTarget whose gradient is a 1-element list at a 2-D point."""
+
+    def grad_log_density(self, point) -> list:
+        return super().grad_log_density(point)[:1].tolist()
+
+
 class TestCustomTarget:
     @pytest.mark.parametrize(
         "cfg", [{"name": "adaptive", "eps": 0.5}, {"name": "hmc", "eps_leap": 0.3, "n_leap": 5}]
@@ -320,6 +327,21 @@ class TestCustomTarget:
         assert report.acf.shape == (2, 21) and np.all(report.ess > 0)
         assert report.tv_distance is None and report.mode_coverage is None
         assert math.isfinite(report.fisher_trace) and report.fisher_trace > 0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"name": "adaptive", "eps": 0.5},
+            {"name": "mala", "eps": 0.5},
+            {"name": "hmc", "eps_leap": 0.3, "n_leap": 5},
+        ],
+        ids=["adaptive", "mala", "hmc"],
+    )
+    def test_gradient_of_the_wrong_shape_is_rejected(self, cfg):
+        # unchecked, numpy broadcasting lets the Langevin kernels run on and
+        # HMC's leapfrog fails with an IndexError
+        with pytest.raises(ValueError, match=r"gradient has shape \(1,\) at a point of shape \(2,\)"):
+            run_chain(cfg, ShortGradientTarget(), 200, 0, [1.0, 0.0], 17, 0)
 
 
 class TestRegistry:
