@@ -36,7 +36,9 @@ class TargetDensity:
     ``log_density`` is -inf. HMC's leapfrog relies on that: it evaluates
     only the gradient along a trajectory and treats the ``ValueError`` as
     a divergence. Leapfrog passes its own working position list and
-    changes it after the call, so a target must not keep the point.
+    changes it after the call, so a target must not keep the point. It may
+    memoize by value: results kept under a copy of the point's float64
+    bytes are safe, as the caller's object is never read again.
     """
 
     dim = 0
@@ -162,27 +164,43 @@ class GaussianMixture(TargetDensity):
 
     Components are (weight, mean, variance) triples; weights are normalized
     at construction so tolerant inputs still satisfy the sum-to-one invariant.
+    The parameters are fixed after construction: the normalizers are computed
+    once from them. With several components, ``log_density`` and
+    ``grad_log_density`` share the last point's component terms, memoized by
+    the point's float64 bytes, so the gradient that follows a log density at
+    the same point (and the log density at the end of an HMC trajectory)
+    does not compute them again.
     """
 
     def __init__(self, components):
         if not components:
             raise ValueError("mixture needs at least one component")
         weights = np.array([finite_real(c[0], f"component {i} weight") for i, c in enumerate(components)])
-        means = np.array([_finite_vector(c[1], f"component {i} mean") for i, c in enumerate(components)])
-        variances = np.array([_finite_vector(c[2], f"component {i} variance") for i, c in enumerate(components)])
+        means = [_finite_vector(c[1], f"component {i} mean") for i, c in enumerate(components)]
+        variances = [_finite_vector(c[2], f"component {i} variance") for i, c in enumerate(components)]
+        dim = means[0].size
+        for i, (mean, variance) in enumerate(zip(means, variances)):
+            if not mean.size:
+                raise ValueError(f"component {i} mean is empty")
+            for vector, what in ((mean, "mean"), (variance, "variance")):
+                if vector.size != dim:
+                    raise ValueError(f"component {i} {what} has length {vector.size}, component 0 mean has length {dim}")
+        means = np.array(means)
+        variances = np.array(variances)
         if np.any(weights <= 0):
             raise ValueError("component weights must be positive")
         if np.any(variances <= 0):
             raise ValueError("component variances must be positive")
-        if means.shape != variances.shape:
-            raise ValueError("mean/variance dimensions disagree")
         self.weights = weights / weights.sum()
         self.means = means
         self.variances = variances
-        self.dim = means.shape[1]
-        self._log_weights = np.log(self.weights)
+        self.dim = dim
         # per-component Gaussian normalization constants
         self._log_norms = -0.5 * np.sum(np.log(2.0 * math.pi * variances), axis=1)
+        # log weight plus normalizer: the first add of each component's log density
+        self._log_coefs = np.log(self.weights) + self._log_norms
+        self._last_key = None
+        self._last_terms = None
 
     def _check_point(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=float)
@@ -190,20 +208,36 @@ class GaussianMixture(TargetDensity):
             raise ValueError(f"point has dimension {point.shape}, target expects ({self.dim},)")
         return point
 
-    def _component_log_densities(self, point: np.ndarray) -> np.ndarray:
-        diff = point - self.means
-        return self._log_weights + self._log_norms - 0.5 * np.sum(diff * diff / self.variances, axis=1)
+    def _terms(self, point: np.ndarray):
+        """(diff, shift, exps, total) at a checked point of a multi-component
+        mixture: diff = point - means, shift the largest component log density,
+        exps = exp(logs - shift) and total their sum (both None where every
+        quadratic form overflowed). The last result is kept under the point's
+        bytes, a copy, so a caller that changes its point afterwards only
+        misses; the cached arrays are never changed or handed out.
+        """
+        key = point.tobytes()
+        if key != self._last_key:
+            diff = point - self.means
+            logs = self._log_coefs - 0.5 * np.add.reduce(diff * diff / self.variances, axis=1)
+            shift = np.maximum.reduce(logs)
+            exps = total = None
+            if shift != NEG_INF:
+                exps = np.exp(logs - shift)
+                total = np.add.reduce(exps)
+            self._last_key = key
+            self._last_terms = (diff, shift, exps, total)
+        return self._last_terms
 
     def log_density(self, point) -> float:
         point = self._check_point(point)
         if len(self.weights) == 1:
             diff = point - self.means[0]
             return float(self._log_norms[0] - 0.5 * np.dot(diff / self.variances[0], diff))
-        logs = self._component_log_densities(point)
-        shift = logs.max()
-        if shift == NEG_INF:  # every quadratic form overflowed
+        _, shift, _, total = self._terms(point)
+        if total is None:  # every quadratic form overflowed
             return NEG_INF
-        return float(shift + math.log(np.exp(logs - shift).sum()))
+        return float(shift + math.log(total))
 
     def grad_log_density(self, point) -> np.ndarray:
         point = self._check_point(point)
@@ -213,14 +247,10 @@ class GaussianMixture(TargetDensity):
             if np.dot(scaled, diff) == math.inf:  # where log_density is -inf
                 raise ValueError("gradient requested at a zero-density point")
             return -scaled
-        logs = self._component_log_densities(point)
-        shift = logs.max()
-        if shift == NEG_INF:
+        diff, _, exps, total = self._terms(point)
+        if total is None:
             raise ValueError("gradient requested at a zero-density point")
-        resp = np.exp(logs - shift)
-        resp /= resp.sum()
-        scores = -(point - self.means) / self.variances
-        return resp @ scores
+        return (exps / total) @ (-diff / self.variances)
 
 
 def standard_normal(dim: int = 1) -> GaussianMixture:

@@ -450,6 +450,12 @@ class TestMain:
             ({"target": MIX_TARGET, "init": ["0.3", "0.4"]}, "init element"),
             ({"samplers": [{"name": ["mala"], "eps": 0.1}]}, "unknown sampler:"),
             ({"samplers": [{"name": {"a": 1}, "eps": 0.1}]}, "unknown sampler:"),
+            # a zero-dimensional mixture used to sample and write chain files first
+            ({"target": {"name": "gauss_mix", "components": [{"weight": 1.0, "mean": [], "variance": []}]}},
+             "component 0 mean"),
+            ({"target": mixture(mean=[], variance=[]), "init": [0.0, 0.0]}, "component 1 mean"),
+            ({"target": mixture(mean=[0.0, 0.0, 0.0]), "init": [0.0, 0.0]}, "component 1 mean"),
+            ({"target": mixture(variance=[1.0]), "init": [0.0, 0.0]}, "component 1 variance"),
         ],
     )
     def test_bad_field_exits_before_output(self, tmp_path, capsys, overrides, field):

@@ -537,6 +537,26 @@ class TestHmcStep:
                 assert stream.counter == 2 * d + 1
         assert seen == {True, False}
 
+    def test_energy_rejection_keeps_state(self):
+        # a completed trajectory that loses the acceptance draw: it consumes
+        # the acceptance uniform, and the chain keeps its state
+        target = RefusalCountingBox()
+        state = init_state(target, [0.25, 0.25])
+        params = HmcSampler(eps_leap=0.1, n_leap=5)
+        d = state.theta.shape[0]
+        rejected = []
+        for seed in range(50):
+            stream = split(seed, 0)
+            refused = target.refused
+            new, accepted = params.step(state, target, stream)
+            if target.refused == refused and not accepted:
+                rejected.append(seed)
+                assert stream.counter == 2 * d + 1
+                np.testing.assert_array_equal(new.theta, state.theta)
+                np.testing.assert_array_equal(new.theta_prev, state.theta)
+                assert new.log_p == state.log_p and new.grad is state.grad
+        assert rejected
+
     @pytest.mark.parametrize(
         "target,theta0,eps_leap,n_leap",
         [

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -179,6 +180,9 @@ class TestBoxValidation:
             assert BOX22.log_density(c) == pytest.approx(math.log(4.0), abs=1e-12)
 
 
+UNIT2 = (0.5, [0.0, 0.0], [1.0, 1.0])
+
+
 class TestGaussianMixture:
     def test_standard_normal_at_mode(self):
         target = standard_normal(1)
@@ -232,9 +236,31 @@ class TestGaussianMixture:
         with pytest.raises(ValueError):
             GaussianMixture([(-1.0, [0.0], [1.0])])
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_empty_mean_names_the_component(self, index):
+        components = [UNIT2, UNIT2]
+        components[index] = (0.5, [], [])
+        with pytest.raises(ValueError, match=rf"^component {index} mean is empty$"):
+            GaussianMixture(components)
+
+    @pytest.mark.parametrize(
+        "components,message",
+        [
+            ([UNIT2, (0.5, [0.0] * 3, [1.0] * 3)], "component 1 mean has length 3, component 0 mean has length 2"),
+            ([UNIT2, (0.5, [0.0], [1.0, 1.0])], "component 1 mean has length 1, component 0 mean has length 2"),
+            ([UNIT2, (0.5, [0.0, 0.0], [1.0])], "component 1 variance has length 1, component 0 mean has length 2"),
+            ([(1.0, [0.0, 0.0], [1.0] * 3)], "component 0 variance has length 3, component 0 mean has length 2"),
+        ],
+        ids=["longer-mean", "shorter-mean", "shorter-variance", "first-variance"],
+    )
+    def test_component_lengths_must_agree(self, components, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GaussianMixture(components)
+
 
 BOX_3X2 = ParticleBox2D(1.3, 0.7, 3, 2)
-MIX2 = GaussianMixture([(0.3, [-1.0, -1.0], [0.5, 0.5]), (0.7, [1.0, 1.0], [1.0, 1.0])])
+MIX2_COMPONENTS = [(0.3, [-1.0, -1.0], [0.5, 0.5]), (0.7, [1.0, 1.0], [1.0, 1.0])]
+MIX2 = GaussianMixture(MIX2_COMPONENTS)
 ZERO_DENSITY_POINTS = [
     # walls
     (BOX22, [0.0, 0.25]),
@@ -286,6 +312,106 @@ class TestTargetContract:
         for point in ([1e6, -1e6], [1e100, 0.0], [-3.0, 40.0]):
             assert math.isfinite(target.log_density(point))
             assert np.all(np.isfinite(target.grad_log_density(point)))
+
+
+# the mix_chains benchmark mixture
+MIX4_COMPONENTS = [(0.3, [-1.0] * 4, [0.5] * 4), (0.7, [1.0] * 4, [1.0] * 4)]
+
+
+def fresh(components, method, point):
+    """method's result at point from a mixture that has never been called."""
+    return getattr(GaussianMixture(components), method)(point)
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("components", [MIX2_COMPONENTS, MIX4_COMPONENTS], ids=["mix2", "mix4"])
+class TestMixtureMemo:
+    """A mixture shares one point's component terms between its two methods;
+    every result must be the bits a never-called mixture gives."""
+
+    @staticmethod
+    def points(components, seed=5, count=200):
+        stream = split(seed, 0)
+        dim = len(components[0][1])
+        return [2.0 * np.array(stream.normals(dim)) for _ in range(count)]
+
+    def test_log_density_then_gradient(self, components):
+        target = GaussianMixture(components)
+        for p in self.points(components):
+            assert bits(target.log_density(p)) == bits(fresh(components, "log_density", p))
+            assert bits(target.grad_log_density(p)) == bits(fresh(components, "grad_log_density", p))
+
+    def test_gradient_then_log_density(self, components):
+        target = GaussianMixture(components)
+        for p in self.points(components):
+            assert bits(target.grad_log_density(p)) == bits(fresh(components, "grad_log_density", p))
+            assert bits(target.log_density(p)) == bits(fresh(components, "log_density", p))
+
+    def test_two_gradients_in_a_row(self, components):
+        target = GaussianMixture(components)
+        for p in self.points(components):
+            want = bits(fresh(components, "grad_log_density", p))
+            first = target.grad_log_density(p)
+            assert bits(first) == want
+            first *= 3.0  # the caller owns the returned gradient
+            assert bits(target.grad_log_density(p)) == want
+
+    def test_log_density_at_p_then_gradient_at_q(self, components):
+        target = GaussianMixture(components)
+        points = self.points(components)
+        for p, q in zip(points, points[1:]):
+            assert bits(target.log_density(p)) == bits(fresh(components, "log_density", p))
+            assert bits(target.grad_log_density(q)) == bits(fresh(components, "grad_log_density", q))
+
+    def test_list_changed_after_the_call(self, components):
+        # leapfrog hands over its working position list and moves it in place
+        target = GaussianMixture(components)
+        points = self.points(components)
+        position = points[0].tolist()
+        target.grad_log_density(position)
+        for q in points[1:]:
+            position[:] = q.tolist()
+            assert bits(target.grad_log_density(position)) == bits(fresh(components, "grad_log_density", q))
+            assert bits(target.log_density(np.array(position))) == bits(fresh(components, "log_density", q))
+
+    def test_array_edited_after_the_call(self, components):
+        target = GaussianMixture(components)
+        for p in self.points(components):
+            point = p.copy()
+            target.log_density(point)
+            point[0] += 0.5
+            assert bits(target.grad_log_density(point)) == bits(fresh(components, "grad_log_density", point))
+            assert bits(target.log_density(point)) == bits(fresh(components, "log_density", point))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("gradient_first", [False, True])
+    def test_overflowing_point(self, components, gradient_first):
+        target = GaussianMixture(components)
+        far = np.zeros(len(components[0][1]))
+        far[-1] = -1e200  # every component's quadratic form overflows
+        near = self.points(components, count=1)[0]
+        for _ in range(2):
+            if gradient_first:
+                with pytest.raises(ValueError):
+                    target.grad_log_density(far)
+            assert target.log_density(far) == NEG_INF
+            with pytest.raises(ValueError):
+                target.grad_log_density(far)
+            assert bits(target.grad_log_density(near)) == bits(fresh(components, "grad_log_density", near))
+
+    def test_pickled_warm_target(self, components):
+        # the process pool pickles the target its parent already called
+        target = GaussianMixture(components)
+        points = self.points(components)
+        target.log_density(points[0])
+        target.grad_log_density(points[0])
+        copy = pickle.loads(pickle.dumps(target))
+        for p in points:
+            assert bits(copy.grad_log_density(p)) == bits(fresh(components, "grad_log_density", p))
+            assert bits(copy.log_density(p)) == bits(fresh(components, "log_density", p))
 
 
 class HalfPlaneTarget(TargetDensity):
