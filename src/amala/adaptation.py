@@ -27,15 +27,25 @@ NORM_FLOOR = 1e-12
 BASE_FLOOR = 1e-12
 
 
+def norm(v) -> float:
+    """Euclidean norm of a vector, with the same bits on every CPU (a BLAS
+    dot product depends on the kernel the CPU selects): math.hypot on the
+    elements of a short vector, and an exact square with numpy's fixed-order
+    pairwise sum on a long one, where that is faster."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[0] <= 64:
+        return math.hypot(*v.tolist())
+    return math.sqrt(np.add.reduce(v * v))
+
+
 def ratio_norm_guarded(a, b, floor: float) -> float:
-    """||a|| / max(||b||, floor) for same-dimension vectors."""
+    """||a|| / max(||b||, floor) for same-dimension vectors: each ratio
+    sigma_update forms, from vectors instead of their norms."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("vectors must have the same dimension")
-    # sqrt(x.dot(x)) is how np.linalg.norm computes a real 1-D norm, without
-    # its dispatch overhead
-    return math.sqrt(a.dot(a)) / max(math.sqrt(b.dot(b)), floor)
+    return norm(a) / max(norm(b), floor)
 
 
 def psi_draw(sigma_prev: float, stream: RngStream) -> float:
@@ -44,24 +54,26 @@ def psi_draw(sigma_prev: float, stream: RngStream) -> float:
 
 
 def sigma_update(
-    theta_n,
-    theta_prev,
-    grad_n,
-    grad_prev,
+    theta_norm: float,
+    theta_prev_norm: float,
+    grad_norm: float,
+    grad_prev_norm: float,
     sigma_prev: float,
     params,
     stream: RngStream,
 ) -> float:
-    """Next proposal scale from the last two points and gradients; params
-    is the AdaptiveSampler whose eps, beta and xi enter the update.
+    """Next proposal scale from the Euclidean norms (by norm) of the last two
+    points and gradients; params is the AdaptiveSampler whose eps, beta and
+    xi enter the update. The chain carries each point's norms, so a step
+    computes them only for a point it has not seen.
 
     Strictly positive and finite for finite inputs; when the position and
     gradient norm ratios agree (r_theta == r_grad) the psi draw multiplies
     zero and the output is deterministic. A NaN anywhere in the history makes
     a norm ratio NaN and raises ValueError.
     """
-    r_theta = ratio_norm_guarded(theta_n, theta_prev, NORM_FLOOR) ** 2
-    r_grad = ratio_norm_guarded(grad_n, grad_prev, NORM_FLOOR) ** 2
+    r_theta = (theta_norm / max(theta_prev_norm, NORM_FLOOR)) ** 2
+    r_grad = (grad_norm / max(grad_prev_norm, NORM_FLOOR)) ** 2
     if math.isnan(r_theta) or math.isnan(r_grad):
         raise ValueError("NaN in the chain history")
     psi = psi_draw(sigma_prev, stream)

@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .adaptation import sigma_update
+from .adaptation import norm, sigma_update
 from .rng import RngStream, split
 from .targets import NEG_INF, TargetDensity, finite_real
 
@@ -45,6 +45,11 @@ class ChainState:
     theta_prev: np.ndarray | None = None
     grad_prev: np.ndarray | None = None
     sigma: float | None = None  # scale of the last Langevin proposal; None before one
+    # (|theta|, |grad|) and (|theta_prev|, |grad_prev|) as the adaptive kernel
+    # computed them, carried so that it computes each point's norms once;
+    # None where it has not
+    norms: tuple[float, float] | None = None
+    norms_prev: tuple[float, float] | None = None
 
 
 @dataclass
@@ -120,14 +125,14 @@ def langevin_propose(
     log_norm = -0.5 * d * math.log(2.0 * math.pi * scale)
     mean_fwd = theta + drift * state.grad
     theta_star = mean_fwd + math.sqrt(scale) * np.array(stream.normals(d))
-    diff = theta_star - mean_fwd
-    log_q_fwd = log_norm - float(np.dot(diff, diff)) / two_scale
+    r = norm(theta_star - mean_fwd)
+    log_q_fwd = log_norm - r * r / two_scale
     log_p_star = target.log_density(theta_star)
     if log_p_star == NEG_INF:
         return Proposal(theta_star, scale, log_q_fwd, math.nan, log_p_star, auto_reject=True)
     grad_star = np.asarray(target.grad_log_density(theta_star), dtype=float)
-    diff = theta - (theta_star + drift * grad_star)
-    log_q_rev = log_norm - float(np.dot(diff, diff)) / two_scale
+    r = norm(theta - (theta_star + drift * grad_star))
+    log_q_rev = log_norm - r * r / two_scale
     return Proposal(theta_star, scale, log_q_fwd, log_q_rev, log_p_star, grad_star)
 
 
@@ -236,14 +241,20 @@ class AdaptiveSampler(MalaSampler):
             raise ValueError("xi must lie in (0, 1)")
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
+        norms = None
         if state.theta_prev is None:
             scale = self.eps * self.eps
         else:
-            scale = sigma_update(
-                state.theta, state.theta_prev, state.grad, state.grad_prev, state.sigma, self, stream
-            )
+            norms = state.norms or (norm(state.theta), norm(state.grad))
+            prev = state.norms_prev or (norm(state.theta_prev), norm(state.grad_prev))
+            scale = sigma_update(norms[0], prev[0], norms[1], prev[1], state.sigma, self, stream)
         prop = langevin_propose(state, target, self.eps, scale, stream)
-        return mh_accept(state, prop, stream)
+        new, accepted = mh_accept(state, prop, stream)
+        # the history shifts forward, and a rejected step stays at its point
+        new.norms_prev = norms
+        if not accepted:
+            new.norms = norms
+        return new, accepted
 
 
 @dataclass
@@ -271,11 +282,13 @@ class HmcSampler:
         """
         p0 = np.array(stream.normals(state.theta.shape[0]))
         theta_star, p_star, diverged, grad_star = leapfrog(state.theta, p0, state.grad, self, target)
-        log_q_fwd = -0.5 * float(np.dot(p0, p0))
+        r = norm(p0)
+        log_q_fwd = -0.5 * r * r
         if diverged:
             prop = Proposal(theta_star, None, log_q_fwd, math.nan, NEG_INF, None, True)
         else:
-            log_q_rev = -0.5 * float(np.dot(p_star, p_star))
+            r = norm(p_star)
+            log_q_rev = -0.5 * r * r
             prop = Proposal(theta_star, None, log_q_fwd, log_q_rev, target.log_density(theta_star), grad_star)
         return mh_accept(state, prop, stream)
 

@@ -7,6 +7,7 @@ Metropolis-Hastings step rejects such proposals naturally.
 
 import math
 from numbers import Real
+from operator import mul, sub, truediv
 
 import numpy as np
 
@@ -21,8 +22,13 @@ def finite_real(value, what: str) -> float:
 
 
 def _finite_vector(values, what: str) -> np.ndarray:
+    """values as a float vector; a scalar, a nested list or a non-finite or
+    non-number element raises a one-line ValueError naming what."""
     # dtype=object keeps each element's own type: a bool among floats is still seen
-    return np.array([finite_real(v, what) for v in np.asarray(values, dtype=object).ravel()])
+    vector = np.asarray(values, dtype=object)
+    if vector.ndim != 1:
+        raise ValueError(f"{what} must be a flat list of numbers, got {values!r}")
+    return np.array([finite_real(v, what) for v in vector])
 
 
 class TargetDensity:
@@ -165,11 +171,14 @@ class GaussianMixture(TargetDensity):
     Components are (weight, mean, variance) triples; weights are normalized
     at construction so tolerant inputs still satisfy the sum-to-one invariant.
     The parameters are fixed after construction: the normalizers are computed
-    once from them. With several components, ``log_density`` and
-    ``grad_log_density`` share the last point's component terms, memoized by
-    the point's float64 bytes, so the gradient that follows a log density at
-    the same point (and the log density at the end of an HMC trajectory)
-    does not compute them again.
+    once from them. A point's log density and gradient are computed together
+    and the last point's are kept, so the gradient that follows a log density
+    at the same point (and the log density closing an HMC trajectory) is free.
+
+    Several components are evaluated in Python floats with ``math.exp`` and
+    ``math.log``, and one component's quadratic form is ``np.add.reduce`` of
+    an exact product: no BLAS call or SIMD-dispatched ``np.exp``/``np.log``,
+    so the bits do not depend on the kernels numpy and its BLAS pick.
     """
 
     def __init__(self, components):
@@ -195,62 +204,66 @@ class GaussianMixture(TargetDensity):
         self.means = means
         self.variances = variances
         self.dim = dim
-        # per-component Gaussian normalization constants
-        self._log_norms = -0.5 * np.sum(np.log(2.0 * math.pi * variances), axis=1)
-        # log weight plus normalizer: the first add of each component's log density
-        self._log_coefs = np.log(self.weights) + self._log_norms
+        # per component: log weight plus Gaussian normalizer, then the mean
+        # and variance as float lists
+        self._components = [
+            (math.log(w) - 0.5 * sum(math.log(2.0 * math.pi * v) for v in var), mean, var)
+            for w, mean, var in zip(self.weights.tolist(), means.tolist(), variances.tolist())
+        ]
         self._last_key = None
-        self._last_terms = None
+        self._last = None
 
-    def _check_point(self, point) -> np.ndarray:
+    def _evaluate(self, point) -> tuple:
+        """(log density, gradient) at a point; the gradient is None where the
+        log density is -inf (every quadratic form overflowed). The last result
+        is kept under the point's float64 bytes, a copy, so a caller that
+        changes its point afterwards only misses."""
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             raise ValueError(f"point has dimension {point.shape}, target expects ({self.dim},)")
-        return point
-
-    def _terms(self, point: np.ndarray):
-        """(diff, shift, exps, total) at a checked point of a multi-component
-        mixture: diff = point - means, shift the largest component log density,
-        exps = exp(logs - shift) and total their sum (both None where every
-        quadratic form overflowed). The last result is kept under the point's
-        bytes, a copy, so a caller that changes its point afterwards only
-        misses; the cached arrays are never changed or handed out.
-        """
         key = point.tobytes()
         if key != self._last_key:
-            diff = point - self.means
-            logs = self._log_coefs - 0.5 * np.add.reduce(diff * diff / self.variances, axis=1)
-            shift = np.maximum.reduce(logs)
-            exps = total = None
-            if shift != NEG_INF:
-                exps = np.exp(logs - shift)
-                total = np.add.reduce(exps)
+            self._last = self._single(point) if len(self._components) == 1 else self._mixture(point)
             self._last_key = key
-            self._last_terms = (diff, shift, exps, total)
-        return self._last_terms
+        return self._last
+
+    def _single(self, point: np.ndarray) -> tuple:
+        diff = point - self.means[0]
+        scaled = diff / self.variances[0]
+        q = float(np.add.reduce(scaled * diff))
+        if q == math.inf:
+            return NEG_INF, None
+        return self._components[0][0] - 0.5 * q, -scaled
+
+    def _mixture(self, point: np.ndarray) -> tuple:
+        x = point.tolist()
+        scaled = []  # (point - mean_k) / variance_k per component
+        logs = []
+        for coef, mean, var in self._components:
+            diff = list(map(sub, x, mean))
+            s = list(map(truediv, diff, var))
+            scaled.append(s)
+            logs.append(coef - 0.5 * sum(map(mul, diff, s)))
+        shift = max(logs)
+        if shift == NEG_INF:
+            return NEG_INF, None
+        exps = [math.exp(v - shift) for v in logs]
+        total = sum(exps)
+        # -sum_k resp_k * scaled_k, one component at a time
+        grad = [0.0] * self.dim
+        for e, s in zip(exps, scaled):
+            r = e / total
+            grad = [g - r * v for g, v in zip(grad, s)]
+        return shift + math.log(total), grad
 
     def log_density(self, point) -> float:
-        point = self._check_point(point)
-        if len(self.weights) == 1:
-            diff = point - self.means[0]
-            return float(self._log_norms[0] - 0.5 * np.dot(diff / self.variances[0], diff))
-        _, shift, _, total = self._terms(point)
-        if total is None:  # every quadratic form overflowed
-            return NEG_INF
-        return float(shift + math.log(total))
+        return self._evaluate(point)[0]
 
     def grad_log_density(self, point) -> np.ndarray:
-        point = self._check_point(point)
-        if len(self.weights) == 1:
-            diff = point - self.means[0]
-            scaled = diff / self.variances[0]
-            if np.dot(scaled, diff) == math.inf:  # where log_density is -inf
-                raise ValueError("gradient requested at a zero-density point")
-            return -scaled
-        diff, _, exps, total = self._terms(point)
-        if total is None:
+        grad = self._evaluate(point)[1]
+        if grad is None:
             raise ValueError("gradient requested at a zero-density point")
-        return (exps / total) @ (-diff / self.variances)
+        return np.array(grad)  # a new array: the caller owns it, the memo keeps its own
 
 
 def standard_normal(dim: int = 1) -> GaussianMixture:

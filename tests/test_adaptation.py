@@ -10,6 +10,7 @@ from amala.adaptation import (
     BASE_FLOOR,
     NORM_FLOOR,
     SQRT_2PI,
+    norm,
     psi_draw,
     ratio_norm_guarded,
     sigma_update,
@@ -18,6 +19,13 @@ from amala.rng import RngStream, split
 from amala.samplers import AdaptiveSampler
 
 getcontext().prec = 60
+
+
+def sigma_from_vectors(theta_n, theta_prev, grad_n, grad_prev, *rest):
+    """sigma_update of the norms of four history vectors, as the adaptive
+    kernel computes them."""
+    history = (theta_n, theta_prev, grad_n, grad_prev)
+    return sigma_update(*(norm(np.asarray(v, dtype=float)) for v in history), *rest)
 
 
 def sigma_oracle(theta_n, theta_prev, grad_n, grad_prev, psi, params):
@@ -94,7 +102,7 @@ class TestSigmaUpdate:
         params = AdaptiveSampler(eps=0.1)
         expected = 0.1 / (1.0 + math.exp(-1.0))
         for seed in (1, 2):
-            got = sigma_update(
+            got = sigma_from_vectors(
                 [3.0, 4.0], [4.0, 3.0], [1.0, 2.0], [2.0, 1.0], 0.7, params, split(seed, 0)
             )
             assert got == pytest.approx(expected, rel=1e-14)
@@ -108,13 +116,13 @@ class TestSigmaUpdate:
             for s in range(100)
             if split(s, 0).next_uniform() * (SQRT_2PI + 1.0) > 1.2
         )
-        got = sigma_update([0.0], [2.0], [1.5], [1.5], 1.0, params, split(seed, 0))
+        got = sigma_from_vectors([0.0], [2.0], [1.5], [1.5], 1.0, params, split(seed, 0))
         expected = 0.1 * math.sqrt(BASE_FLOOR) / (1.0 + math.exp(-1.0))
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_zero_grad_prev_uses_norm_floor(self):
         params = AdaptiveSampler(eps=0.2)
-        got = sigma_update([1.0], [1.0], [1.0], [0.0], 0.5, params, split(4, 0))
+        got = sigma_from_vectors([1.0], [1.0], [1.0], [0.0], 0.5, params, split(4, 0))
         # r_grad = 1e24: exp underflows, base floors, result eps*sqrt(floor)
         assert got == pytest.approx(0.2 * math.sqrt(BASE_FLOOR), rel=1e-14)
         assert got > 0.0 and math.isfinite(got)
@@ -122,12 +130,12 @@ class TestSigmaUpdate:
     def test_deterministic_given_stream(self):
         params = AdaptiveSampler(eps=0.3, beta=0.7, xi=0.4)
         args = ([1.0, -2.0], [0.5, 1.0], [3.0, 1.0], [-1.0, 2.0], 0.9, params)
-        assert sigma_update(*args, split(5, 2)) == sigma_update(*args, split(5, 2))
+        assert sigma_from_vectors(*args, split(5, 2)) == sigma_from_vectors(*args, split(5, 2))
 
     def test_psi_independent_when_ratios_match(self):
         params = AdaptiveSampler(eps=0.25, beta=1.3)
         results = {
-            sigma_update([1.0, 2.0], [2.0, 1.0], [-3.0, 0.0], [0.0, 3.0], 1.5, params, split(s, 0))
+            sigma_from_vectors([1.0, 2.0], [2.0, 1.0], [-3.0, 0.0], [0.0, 3.0], 1.5, params, split(s, 0))
             for s in range(10)
         }
         assert len(results) == 1
@@ -136,7 +144,7 @@ class TestSigmaUpdate:
         p1 = AdaptiveSampler(eps=0.1, beta=0.8)
         p2 = AdaptiveSampler(eps=0.2, beta=0.8)
         args = ([1.0, 0.5], [0.3, -0.2], [2.0, 2.0], [1.0, -1.0], 0.4)
-        assert 2.0 * sigma_update(*args, p1, split(6, 0)) == sigma_update(*args, p2, split(6, 0))
+        assert 2.0 * sigma_from_vectors(*args, p1, split(6, 0)) == sigma_from_vectors(*args, p2, split(6, 0))
 
     def test_matches_decimal_oracle(self):
         stream = split(2718, 0)
@@ -155,7 +163,7 @@ class TestSigmaUpdate:
             draw_stream = split(1000 + case, 0)
             replay = RngStream(draw_stream.seed, draw_stream.stream_id, draw_stream.counter)
             psi = psi_draw(sigma_prev, replay)
-            got = sigma_update(theta_n, theta_prev, grad_n, grad_prev, sigma_prev, params, draw_stream)
+            got = sigma_from_vectors(theta_n, theta_prev, grad_n, grad_prev, sigma_prev, params, draw_stream)
             want = float(sigma_oracle(theta_n, theta_prev, grad_n, grad_prev, psi, params))
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -171,7 +179,7 @@ class TestSigmaUpdate:
             draw_stream = split(int(sigma_prev * 1e6), 0)
             replay = RngStream(draw_stream.seed, draw_stream.stream_id, draw_stream.counter)
             psi = psi_draw(sigma_prev, replay)
-            got = sigma_update(theta_n, theta_prev, grad_n, grad_prev, sigma_prev, params, draw_stream)
+            got = sigma_from_vectors(theta_n, theta_prev, grad_n, grad_prev, sigma_prev, params, draw_stream)
             r_theta = ratio_norm_guarded(theta_n, theta_prev, NORM_FLOOR) ** 2
             r_grad = ratio_norm_guarded(grad_n, grad_prev, NORM_FLOOR) ** 2
             clamped = max(params.beta + psi * (r_theta - r_grad), BASE_FLOOR)
@@ -187,7 +195,7 @@ class TestSigmaUpdate:
             ([1.0], [math.nan], [1.0], [1.0]),
         ):
             with pytest.raises(ValueError, match="NaN"):
-                sigma_update(*args, 0.5, params, split(1, 0))
+                sigma_from_vectors(*args, 0.5, params, split(1, 0))
 
     def test_nan_input_raises_under_optimize(self):
         # python -O strips asserts; the NaN check must survive it
@@ -197,7 +205,7 @@ class TestSigmaUpdate:
             "from amala.samplers import AdaptiveSampler\n"
             "from amala.rng import split\n"
             "try:\n"
-            "    sigma_update([math.nan], [1.0], [1.0], [1.0], 0.5, AdaptiveSampler(eps=0.1), split(1, 0))\n"
+            "    sigma_update(math.nan, 1.0, 1.0, 1.0, 0.5, AdaptiveSampler(eps=0.1), split(1, 0))\n"
             "except ValueError:\n"
             "    print('raised')\n"
         )

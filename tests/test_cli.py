@@ -456,6 +456,7 @@ class TestMain:
             ({"target": mixture(mean=[], variance=[]), "init": [0.0, 0.0]}, "component 1 mean"),
             ({"target": mixture(mean=[0.0, 0.0, 0.0]), "init": [0.0, 0.0]}, "component 1 mean"),
             ({"target": mixture(variance=[1.0]), "init": [0.0, 0.0]}, "component 1 variance"),
+            ({"target": mixture(mean=[[0.0, 0.0]]), "init": [0.0, 0.0]}, "component 1 mean"),
         ],
     )
     def test_bad_field_exits_before_output(self, tmp_path, capsys, overrides, field):

@@ -1,13 +1,18 @@
 import dataclasses
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import amala
 from amala import samplers
-from amala.adaptation import sigma_update
+from amala.adaptation import norm, sigma_update
 from amala.rng import RngStream, split
 from amala.samplers import (
     AdaptiveSampler,
@@ -97,11 +102,13 @@ def gauss_logpdf_oracle(x, mean, scale):
 
 def gaussian_log_density_oracle(x, mean, scale):
     """Log density of x under N(mean, scale * I) as a standalone function:
-    the bit-level reference for the densities langevin_propose inlines."""
+    the bit-level reference for the densities langevin_propose inlines. The
+    squared distance is the square of math.hypot's norm, as there."""
     x = np.asarray(x, dtype=float)
     diff = x - np.asarray(mean, dtype=float)
     d = diff.shape[0]
-    return -0.5 * d * math.log(2.0 * math.pi * scale) - float(np.dot(diff, diff)) / (2.0 * scale)
+    r = math.hypot(*diff.tolist())
+    return -0.5 * d * math.log(2.0 * math.pi * scale) - r * r / (2.0 * scale)
 
 
 def langevin_propose_oracle(state, target, eps, scale, stream):
@@ -221,9 +228,8 @@ class TestAdaptivePropose:
         params = AdaptiveSampler(eps=0.1)
         state = self._state_with_history()
         new, _ = params.step(state, NORMAL2, split(12, 0))
-        expected = sigma_update(
-            state.theta, state.theta_prev, state.grad, state.grad_prev, 0.5, params, split(12, 0)
-        )
+        norms = (norm(state.theta), norm(state.theta_prev), norm(state.grad), norm(state.grad_prev))
+        expected = sigma_update(*norms, 0.5, params, split(12, 0))
         assert new.sigma == expected
         assert new.sigma == pytest.approx(0.1 / (1.0 + math.exp(-1.0)), rel=1e-14)
 
@@ -231,9 +237,8 @@ class TestAdaptivePropose:
         params = AdaptiveSampler(eps=0.1)
         state = self._state_with_history()
         stream = split(12, 0)
-        scale = sigma_update(
-            state.theta, state.theta_prev, state.grad, state.grad_prev, 0.5, params, stream
-        )
+        norms = (norm(state.theta), norm(state.theta_prev), norm(state.grad), norm(state.grad_prev))
+        scale = sigma_update(*norms, 0.5, params, stream)
         prop = langevin_propose(state, NORMAL2, params.eps, scale, stream)
         assert prop.cov_scale_fwd == scale
         mean_rev = prop.theta_star + 0.5 * params.eps**2 * NORMAL2.grad_log_density(prop.theta_star)
@@ -259,6 +264,30 @@ class TestAdaptivePropose:
         assert not accepted and stream.counter == 5
         np.testing.assert_array_equal(new.theta, state.theta)
 
+    @pytest.mark.parametrize(
+        "target,init,eps",
+        [
+            pytest.param(BOX22, [0.25, 0.25], 0.03, id="box"),
+            pytest.param(MIX2, [-1.0, 0.0], 0.8, id="mix2"),
+            pytest.param(standard_normal(100), [0.0] * 100, 0.75, id="normal100"),
+        ],
+    )
+    def test_carried_norms_are_the_points_norms(self, target, init, eps):
+        # the kernel carries each point's norms from step to step instead of
+        # computing them again; they must be the norms of the points it holds
+        sampler = AdaptiveSampler(eps=eps)
+        state = init_state(target, init)
+        stream = split(3, 0)
+        state, _ = sampler.step(state, target, stream)  # step 0 uses no norms
+        carried = 0
+        for _ in range(300):
+            state, _ = sampler.step(state, target, stream)
+            assert state.norms_prev == (norm(state.theta_prev), norm(state.grad_prev))
+            if state.norms is not None:
+                carried += 1
+                assert state.norms == (norm(state.theta), norm(state.grad))
+        assert carried > 0
+
 
 class TestProposeOracle:
     """langevin_propose against langevin_propose_oracle: the same IEEE
@@ -283,8 +312,8 @@ class TestProposeOracle:
         state = init_state(target, theta)
         if adaptive:
             # a history-driven scale, as the adaptive kernel draws it
-            history = (state.theta, 1.1 * state.theta, state.grad, 0.9 * state.grad, eps)
-            scale = sigma_update(*history, AdaptiveSampler(eps=eps), split(7, 1))
+            history = (state.theta, 1.1 * state.theta, state.grad, 0.9 * state.grad)
+            scale = sigma_update(*map(norm, history), eps, AdaptiveSampler(eps=eps), split(7, 1))
             assert scale != eps * eps
         else:
             scale = eps * eps
@@ -822,80 +851,120 @@ class TestRunChain:
         assert set(chain.meta) == {"sampler", "seed", "chain_id", "burn_in", "wall_time_s"}
 
 
+# id -> (sampler block, target, init, SHA-256 of the 300 kept samples and log
+# densities of a seed-1 chain after 50 burn-in steps)
+GOLDEN_CHAINS = {
+    "adaptive-box": (
+        {"name": "adaptive", "eps": 0.03},
+        BOX22,
+        [0.25, 0.25],
+        "2512dff7dc0de1d075759b3e0861741dc22c2cb0ef8204861123b8f46396054c",
+    ),
+    "mala-box": (
+        {"name": "mala", "eps": 0.03},
+        BOX22,
+        [0.25, 0.25],
+        "52cad621d305a1d8e478a9a9177747b90e6cd924f982d1f1f286a5b8dcb0a253",
+    ),
+    "hmc-box": (
+        {"name": "hmc", "eps_leap": 0.05, "n_leap": 20},
+        BOX22,
+        [0.25, 0.25],
+        "4478243820c8f9ee1e61d29004f9ffdd6365a15a4e0711072e3044c4e004eaf0",
+    ),
+    "adaptive-normal": (
+        {"name": "adaptive", "eps": 0.8},
+        standard_normal(3),
+        [0.0, 0.0, 0.0],
+        "e07d8844013c0545d5a0ecee096d412b53a83bc6582a490d63e865ac2c1f29a6",
+    ),
+    "mala-normal": (
+        {"name": "mala", "eps": 0.8},
+        standard_normal(3),
+        [0.0, 0.0, 0.0],
+        "04337b6f829957195a5147de4c788b6c0ae5cdb9e601ce5f810cc9e29b65c3a5",
+    ),
+    "adaptive-mix2": (
+        {"name": "adaptive", "eps": 0.8},
+        MIX2,
+        [-1.0, 0.0],
+        "441a9cd17d910a0e84aa77d0eeddb1b57ad2926bef493b0d65a4f783789a4c26",
+    ),
+    "mala-mix2": (
+        {"name": "mala", "eps": 0.8},
+        MIX2,
+        [-1.0, 0.0],
+        "4d12d87c3c2bfa344dbe412af9560dc5382aec4333ff30964648f2c609a995d5",
+    ),
+    "hmc-mix2": (
+        {"name": "hmc", "eps_leap": 0.6, "n_leap": 5},
+        MIX2,
+        [-1.0, 0.0],
+        "250b28bba75c942535eb10016455a4d14c16582748f946995ac854ab8d4d8920",
+    ),
+    "adaptive-normal100": (
+        {"name": "adaptive", "eps": 0.75},
+        standard_normal(100),
+        [0.0] * 100,
+        "922ffd1d061ff8b780fe8eb779311e09c7c5546e1fadc6523509b491cf3bf1e5",
+    ),
+}
+
+
+def golden_digest(name: str) -> str:
+    cfg, target, init, _ = GOLDEN_CHAINS[name]
+    chain = run_chain(cfg, target, 300, 50, init, seed=1, chain_id=0)
+    return hashlib.sha256(chain.samples.tobytes() + chain.log_ps.tobytes()).hexdigest()
+
+
+def _avx512_dispatched() -> bool:
+    """Whether numpy dispatches its AVX-512 loops on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+# environments that make numpy and its BLAS pick other kernels
+CPU_KERNEL_SETTINGS = [
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="openblas-haswell"),
+    pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="openblas-prescott"),
+    pytest.param(
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+        id="numpy-avx512-off",
+        marks=pytest.mark.skipif(not _avx512_dispatched(), reason="numpy dispatches no AVX-512 loops here"),
+    ),
+]
+
+
 class TestGoldenChains:
     """Byte-level reproducibility: these chains must never change bits.
 
-    The digests were recorded before any performance work on the sampling
-    path; a change that alters one changed the arithmetic or the draw order.
-    The box HMC chain diverges on 35 of its 350 trajectories, so it also
-    pins the divergence path. The MIX2 chains pin the multi-component numpy
-    gradient; their HMC chain rejects 27 of its 300 kept steps.
+    A change that alters one changed the arithmetic or the draw order. The
+    box MALA and HMC digests date from before any performance work on the
+    sampling path; the others were recorded when the norms and the mixture
+    target stopped using BLAS and SIMD-dispatched numpy functions, and are
+    the same whichever kernels the CPU selects. The box HMC chain diverges on
+    35 of its 350 trajectories, so it also pins the divergence path. The
+    MIX2 chains pin the multi-component gradient; their HMC chain rejects
+    27 of its 300 kept steps. The d = 100 chain pins the norm of a long
+    vector.
     """
 
-    @pytest.mark.parametrize(
-        "cfg,target,init,digest",
-        [
-            (
-                {"name": "adaptive", "eps": 0.03},
-                BOX22,
-                [0.25, 0.25],
-                "8dd08af8fb82f66fe0a937975a63305545e4a0f4dbd294477409d25bdb64dfbf",
-            ),
-            (
-                {"name": "mala", "eps": 0.03},
-                BOX22,
-                [0.25, 0.25],
-                "52cad621d305a1d8e478a9a9177747b90e6cd924f982d1f1f286a5b8dcb0a253",
-            ),
-            (
-                {"name": "hmc", "eps_leap": 0.05, "n_leap": 20},
-                BOX22,
-                [0.25, 0.25],
-                "4478243820c8f9ee1e61d29004f9ffdd6365a15a4e0711072e3044c4e004eaf0",
-            ),
-            (
-                {"name": "adaptive", "eps": 0.8},
-                standard_normal(3),
-                [0.0, 0.0, 0.0],
-                "4df794f0fe4c1d088f806c18e2f5d49607cee05e7f808e15ad03f4439de29fe5",
-            ),
-            (
-                {"name": "mala", "eps": 0.8},
-                standard_normal(3),
-                [0.0, 0.0, 0.0],
-                "67424cfe6455ec6955284a37b37e8e267ec4d61015987745cd70e4d9f0f9951d",
-            ),
-            (
-                {"name": "adaptive", "eps": 0.8},
-                MIX2,
-                [-1.0, 0.0],
-                "7fa6add07c0b44bf4937a59928faffd61eaaeac7f4572e93cf305ca17488cbcf",
-            ),
-            (
-                {"name": "mala", "eps": 0.8},
-                MIX2,
-                [-1.0, 0.0],
-                "7ef48556cef1b76fd8ebf8e1803baff9467751188188c7fe53c215d3f9a7cbe5",
-            ),
-            (
-                {"name": "hmc", "eps_leap": 0.6, "n_leap": 5},
-                MIX2,
-                [-1.0, 0.0],
-                "195e6e1d24272da9ba9c82d96e4bf6543ced7580e20d776bf425a49abd0b253e",
-            ),
-        ],
-        ids=[
-            "adaptive-box",
-            "mala-box",
-            "hmc-box",
-            "adaptive-normal",
-            "mala-normal",
-            "adaptive-mix2",
-            "mala-mix2",
-            "hmc-mix2",
-        ],
-    )
-    def test_digest(self, cfg, target, init, digest):
-        chain = run_chain(cfg, target, 300, 50, init, seed=1, chain_id=0)
-        got = hashlib.sha256(chain.samples.tobytes() + chain.log_ps.tobytes()).hexdigest()
-        assert got == digest
+    @pytest.mark.parametrize("name", list(GOLDEN_CHAINS))
+    def test_digest(self, name):
+        assert golden_digest(name) == GOLDEN_CHAINS[name][3]
+
+    @pytest.mark.parametrize("setting", CPU_KERNEL_SETTINGS)
+    def test_digests_do_not_depend_on_cpu_kernels(self, setting):
+        # a fresh interpreter, since numpy and OpenBLAS read these at load
+        script = (
+            "import json, test_samplers as t\n"
+            "print(json.dumps({name: t.golden_digest(name) for name in t.GOLDEN_CHAINS}))"
+        )
+        path = [os.path.dirname(os.path.dirname(amala.__file__)), os.path.dirname(__file__)]
+        env = {**os.environ, **setting, "PYTHONPATH": os.pathsep.join(path)}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == {name: golden_digest(name) for name in GOLDEN_CHAINS}

@@ -484,6 +484,22 @@ class TestRegistry:
         )
         assert isinstance(target, GaussianMixture)
 
+    @pytest.mark.parametrize(
+        "component,message",
+        [
+            # these used to build a 2-D and a 1-D target
+            ({"mean": [[0.0, 0.0]], "variance": [1.0, 1.0]}, "component 1 mean must be a flat list of numbers"),
+            ({"mean": 0.5, "variance": [1.0]}, "component 1 mean must be a flat list of numbers"),
+            ({"mean": [0.0, 0.0], "variance": [[1.0], [1.0]]}, "component 1 variance must be a flat list of numbers"),
+        ],
+        ids=["nested-mean", "scalar-mean", "nested-variance"],
+    )
+    def test_gauss_mix_vectors_must_be_flat(self, component, message):
+        first = {"weight": 0.5, "mean": [0.0, 0.0], "variance": [1.0, 1.0]}
+        with pytest.raises(ValueError, match=f"^{message}, got ") as info:
+            make_target("gauss_mix", {"components": [first, {"weight": 0.5, **component}]})
+        assert "\n" not in str(info.value)
+
     def test_unknown(self):
         with pytest.raises(ValueError):
             make_target("banana", {})
