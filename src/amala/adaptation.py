@@ -28,14 +28,14 @@ BASE_FLOOR = 1e-12
 
 
 def norm(v) -> float:
-    """Euclidean norm of a vector, with the same bits on every CPU (a BLAS
-    dot product depends on the kernel the CPU selects): math.hypot on the
-    elements of a short vector, and an exact square with numpy's fixed-order
-    pairwise sum on a long one, where that is faster."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] <= 64:
-        return math.hypot(*v.tolist())
-    return math.sqrt(np.add.reduce(v * v))
+    """Euclidean norm of a float list or vector: the square root of its
+    squares summed left to right. The bits depend on neither the CPU nor the
+    Python version: a BLAS dot product's would depend on the kernel the CPU
+    selects, and math.hypot's on the Python version."""
+    total = 0.0
+    for x in v.tolist() if isinstance(v, np.ndarray) else v:
+        total += x * x
+    return math.sqrt(total)
 
 
 def ratio_norm_guarded(a, b, floor: float) -> float:

@@ -116,7 +116,8 @@ def langevin_propose(
     MALA passes scale = eps^2; the adaptive sampler passes its history-driven
     scale. The reverse density reuses the forward scale, so both Gaussian log
     densities, -(d/2) log(2 pi scale) - |x - mean|^2 / (2 scale), share one
-    log-normaliser.
+    log-normaliser. The forward one takes |x - mean|^2 / scale as |z|^2 of
+    the standard normal draw z that makes the move.
     """
     theta = state.theta
     d = theta.shape[0]
@@ -124,9 +125,10 @@ def langevin_propose(
     two_scale = 2.0 * scale
     log_norm = -0.5 * d * math.log(2.0 * math.pi * scale)
     mean_fwd = theta + drift * state.grad
-    theta_star = mean_fwd + math.sqrt(scale) * np.array(stream.normals(d))
-    r = norm(theta_star - mean_fwd)
-    log_q_fwd = log_norm - r * r / two_scale
+    z = stream.normals(d)
+    theta_star = mean_fwd + math.sqrt(scale) * np.array(z)
+    r = norm(z)
+    log_q_fwd = log_norm - 0.5 * r * r
     log_p_star = target.log_density(theta_star)
     if log_p_star == NEG_INF:
         return Proposal(theta_star, scale, log_q_fwd, math.nan, log_p_star, auto_reject=True)
@@ -280,9 +282,9 @@ class HmcSampler:
         Leapfrog starts from the cached state.grad and an accepted state keeps
         its last gradient: a step costs n_leap gradients and one log density.
         """
-        p0 = np.array(stream.normals(state.theta.shape[0]))
-        theta_star, p_star, diverged, grad_star = leapfrog(state.theta, p0, state.grad, self, target)
-        r = norm(p0)
+        z = stream.normals(state.theta.shape[0])
+        theta_star, p_star, diverged, grad_star = leapfrog(state.theta, np.array(z), state.grad, self, target)
+        r = norm(z)
         log_q_fwd = -0.5 * r * r
         if diverged:
             prop = Proposal(theta_star, None, log_q_fwd, math.nan, NEG_INF, None, True)

@@ -21,6 +21,15 @@ def finite_real(value, what: str) -> float:
     return float(value)
 
 
+def _sum(values) -> float:
+    """Left-to-right float sum. The builtin sum compensates its rounding from
+    Python 3.12 on, so its bits depend on the Python version; these do not."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _finite_vector(values, what: str) -> np.ndarray:
     """values as a float vector; a scalar, a nested list or a non-finite or
     non-number element raises a one-line ValueError naming what."""
@@ -175,10 +184,11 @@ class GaussianMixture(TargetDensity):
     and the last point's are kept, so the gradient that follows a log density
     at the same point (and the log density closing an HMC trajectory) is free.
 
-    Several components are evaluated in Python floats with ``math.exp`` and
-    ``math.log``, and one component's quadratic form is ``np.add.reduce`` of
-    an exact product: no BLAS call or SIMD-dispatched ``np.exp``/``np.log``,
-    so the bits do not depend on the kernels numpy and its BLAS pick.
+    Several components are evaluated in Python floats with ``math.exp``,
+    ``math.log`` and left-to-right sums, and one component's quadratic form
+    is ``np.add.reduce`` of an exact product: no BLAS call, SIMD-dispatched
+    ``np.exp``/``np.log`` or builtin ``sum``, so the bits depend neither on
+    the kernels numpy and its BLAS pick nor on the Python version.
     """
 
     def __init__(self, components):
@@ -207,7 +217,7 @@ class GaussianMixture(TargetDensity):
         # per component: log weight plus Gaussian normalizer, then the mean
         # and variance as float lists
         self._components = [
-            (math.log(w) - 0.5 * sum(math.log(2.0 * math.pi * v) for v in var), mean, var)
+            (math.log(w) - 0.5 * _sum(math.log(2.0 * math.pi * v) for v in var), mean, var)
             for w, mean, var in zip(self.weights.tolist(), means.tolist(), variances.tolist())
         ]
         self._last_key = None
@@ -243,12 +253,12 @@ class GaussianMixture(TargetDensity):
             diff = list(map(sub, x, mean))
             s = list(map(truediv, diff, var))
             scaled.append(s)
-            logs.append(coef - 0.5 * sum(map(mul, diff, s)))
+            logs.append(coef - 0.5 * _sum(map(mul, diff, s)))
         shift = max(logs)
         if shift == NEG_INF:
             return NEG_INF, None
         exps = [math.exp(v - shift) for v in logs]
-        total = sum(exps)
+        total = _sum(exps)
         # -sum_k resp_k * scaled_k, one component at a time
         grad = [0.0] * self.dim
         for e, s in zip(exps, scaled):

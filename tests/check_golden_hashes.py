@@ -23,7 +23,7 @@ from workloads import make_config  # noqa: E402
 # golden file stem -> (config, --workers)
 WORKLOADS = {
     "benchmark": (json.loads((ROOT / "configs" / "benchmark.json").read_text()), 1),
-    "mix_chains": (make_config("mix_chains", 1)[0], 2),
+    "mix_chains": make_config("mix_chains", 1),
     "gauss_hd": make_config("gauss_hd", 1),
 }
 

@@ -37,14 +37,14 @@ BENCH_BURN_IN = 1000
 BENCH_SEEDS = (1, 2, 3, 4, 5)
 # sha256 of json.dumps(manifest["files"], sort_keys=True) for each benchmark
 # seed: pins every hashed file of the five full-length chains, recorded
-# when the norms stopped using BLAS, so they hold whichever kernels the CPU
-# selects
+# when the norms stopped using BLAS and math.hypot, so they hold whichever
+# kernels the CPU selects and whichever Python version runs them
 BENCH_FILES_DIGESTS = {
-    1: "a20438a0f316aea7cb11736d3bb1af7757b342aaa1bfa773f82c4a4bde0deca1",
-    2: "f934542ffd63313c624559d5e66e3e0546d2da847472c88c86fa898013e4e56f",
-    3: "7456bbe997b94c9b554691b5a8d9727b44bd3bf887bf93edeeb1d67b5ba95ab1",
-    4: "40405c3d2c205dee44165162c96876850f9b7b5ab67f033a7bcdf259a368c6ab",
-    5: "37083f883f2f41281c76d9a5a8f7cc2233fca15958c346c3217324646fef9852",
+    1: "bffec330ed227c0da7599fe818e86a6b8fc1da7cd677d253638d2e5d3862af93",
+    2: "dade800339835984ed2f350cbe9b1a75a01d03989270f7975af0152209e24f28",
+    3: "c9276527aa94f8333fb6cfb4628e0ea1fed6a0ccecabdbba52f0e08ac7df6d2e",
+    4: "6ac0b7aadb02d9c9b0b3a4df8e99e2006358581821cd80b36425a182abcf3674",
+    5: "018d03215cf8a58facdc23060678d638d019bc27f5927f1b387cf7bd031b72cd",
 }
 
 
