@@ -38,16 +38,6 @@ def norm(v) -> float:
     return math.sqrt(total)
 
 
-def ratio_norm_guarded(a, b, floor: float) -> float:
-    """||a|| / max(||b||, floor) for same-dimension vectors: each ratio
-    sigma_update forms, from vectors instead of their norms."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("vectors must have the same dimension")
-    return norm(a) / max(norm(b), floor)
-
-
 def psi_draw(sigma_prev: float, stream: RngStream) -> float:
     """One uniform draw from [0, sqrt(2*pi) + sigma_prev)."""
     return stream.next_uniform() * (SQRT_2PI + sigma_prev)
@@ -55,9 +45,9 @@ def psi_draw(sigma_prev: float, stream: RngStream) -> float:
 
 def sigma_update(
     theta_norm: float,
-    theta_prev_norm: float,
+    theta_norm_prev: float,
     grad_norm: float,
-    grad_prev_norm: float,
+    grad_norm_prev: float,
     sigma_prev: float,
     params,
     stream: RngStream,
@@ -72,8 +62,8 @@ def sigma_update(
     zero and the output is deterministic. A NaN anywhere in the history makes
     a norm ratio NaN and raises ValueError.
     """
-    r_theta = (theta_norm / max(theta_prev_norm, NORM_FLOOR)) ** 2
-    r_grad = (grad_norm / max(grad_prev_norm, NORM_FLOOR)) ** 2
+    r_theta = (theta_norm / max(theta_norm_prev, NORM_FLOOR)) ** 2
+    r_grad = (grad_norm / max(grad_norm_prev, NORM_FLOOR)) ** 2
     if math.isnan(r_theta) or math.isnan(r_grad):
         raise ValueError("NaN in the chain history")
     psi = psi_draw(sigma_prev, stream)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .diagnostics import build_report, histogram2d
 from .samplers import make_sampler, run_chain
-from .targets import NEG_INF, GaussianMixture, ParticleBox2D, finite_real, make_target
+from .targets import NEG_INF, GaussianMixture, ParticleBox2D, finite_vector, make_target
 
 
 @dataclass
@@ -93,11 +93,10 @@ def resolve_init(init, target) -> np.ndarray:
         if isinstance(target, GaussianMixture):
             return target.means[0].copy()
         raise ValueError("mode_center init is not defined for this target")
-    # dtype=object keeps each element's own type, so a string or a bool is seen
-    point = np.asarray(init, dtype=object)
+    point = finite_vector(init, "init element")
     if point.shape != (target.dim,):
         raise ValueError(f"init has shape {point.shape}, the target expects ({target.dim},)")
-    return np.array([finite_real(v, "init element") for v in point])
+    return point
 
 
 def _fmt(x) -> str:

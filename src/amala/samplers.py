@@ -1,11 +1,15 @@
 """Samplers: classic MALA, the adaptive-scale Langevin sampler, and HMC.
 
-All three kernels share the ChainState bookkeeping and one
-Metropolis-Hastings step (mh_accept); HMC's momentum densities fill the
+All three kernels share one Metropolis-Hastings step (mh_accept), which
+knows nothing of any kernel: it builds the next state from the proposal's
+point, log density and gradient alone. HMC's momentum densities fill the
 proposal slots. The Langevin pair also share one proposal
 (langevin_propose): isotropic Gaussians N(theta + (eps^2/2) grad, scale * I),
 MALA with the fixed scale eps^2 and the adaptive sampler with a fresh
-stochastic scale drawn each step from the trajectory history.
+stochastic scale drawn each step from the trajectory history. That history
+(the last scale and the norms of the last two points) belongs to the
+adaptive kernel: AdaptiveSampler.step is its only writer, and MALA and HMC
+states carry none of it.
 
 MALA and HMC leave the target exactly invariant. The adaptive sampler does
 not: its scale depends on the current point through the norm ratios, but
@@ -37,17 +41,19 @@ from .targets import NEG_INF, TargetDensity, finite_real
 
 @dataclass
 class ChainState:
-    """Current chain position with cached target values and adaptation history."""
+    """Current chain position with its cached target values.
+
+    sigma, norms and norms_prev are the adaptive kernel's history, written
+    by AdaptiveSampler.step alone and None in every MALA and HMC state:
+    sigma is the scale of the last adaptive proposal, norms the pair
+    (|theta|, |grad|) of this point (None until the kernel has computed it)
+    and norms_prev that of the point the last step started from.
+    """
 
     theta: np.ndarray
     log_p: float
     grad: np.ndarray
-    theta_prev: np.ndarray | None = None
-    grad_prev: np.ndarray | None = None
-    sigma: float | None = None  # scale of the last Langevin proposal; None before one
-    # (|theta|, |grad|) and (|theta_prev|, |grad_prev|) as the adaptive kernel
-    # computed them, carried so that it computes each point's norms once;
-    # None where it has not
+    sigma: float | None = None
     norms: tuple[float, float] | None = None
     norms_prev: tuple[float, float] | None = None
 
@@ -59,16 +65,14 @@ class Proposal:
     log_q_fwd is the log density of the draw that makes the move, log_q_rev
     that of the draw that would make the reverse move. For a Langevin move
     the draw is the Gaussian noise: theta_star under N(theta + (eps^2/2)
-    grad, cov_scale_fwd * I), and the current point under the reverse kernel
+    grad, scale * I), and the current point under the reverse kernel
     centered at theta_star. For HMC it is the momentum, -|p|^2/2 at the
-    start and at the end of the trajectory. cov_scale_fwd is the scale the
-    next state records as sigma (None for HMC). Proposals landing on
+    start and at the end of the trajectory. Proposals landing on
     zero-density points, and diverged trajectories, carry auto_reject,
     log_p_star -inf and no gradient.
     """
 
     theta_star: np.ndarray
-    cov_scale_fwd: float | None
     log_q_fwd: float
     log_q_rev: float
     log_p_star: float
@@ -131,11 +135,11 @@ def langevin_propose(
     log_q_fwd = log_norm - 0.5 * r * r
     log_p_star = target.log_density(theta_star)
     if log_p_star == NEG_INF:
-        return Proposal(theta_star, scale, log_q_fwd, math.nan, log_p_star, auto_reject=True)
+        return Proposal(theta_star, log_q_fwd, math.nan, log_p_star, auto_reject=True)
     grad_star = np.asarray(target.grad_log_density(theta_star), dtype=float)
     r = norm(theta - (theta_star + drift * grad_star))
     log_q_rev = log_norm - r * r / two_scale
-    return Proposal(theta_star, scale, log_q_fwd, log_q_rev, log_p_star, grad_star)
+    return Proposal(theta_star, log_q_fwd, log_q_rev, log_p_star, grad_star)
 
 
 def log_accept_ratio(state: ChainState, prop: Proposal) -> float:
@@ -146,7 +150,9 @@ def log_accept_ratio(state: ChainState, prop: Proposal) -> float:
 
 
 def mh_accept(state: ChainState, prop: Proposal, stream: RngStream) -> tuple[ChainState, bool]:
-    """Metropolis-Hastings accept/reject; returns the next state.
+    """Metropolis-Hastings accept/reject; returns the next state, the
+    proposal's point on accept and the current one on reject, with no
+    history: the kernel that keeps one adds it.
 
     A proposal whose log ratio is -inf (auto-rejected or not) rejects
     without consuming a uniform; every other step consumes exactly one.
@@ -156,13 +162,9 @@ def mh_accept(state: ChainState, prop: Proposal, stream: RngStream) -> tuple[Cha
     if log_alpha != NEG_INF:
         u = stream.next_uniform()
         accepted = log_alpha >= 0.0 or u < math.exp(log_alpha)
-    # history shifts forward on accept and reject alike, so repeated
-    # rejection drives the norm ratios to 1 and shrinks the adaptive scale
     if accepted:
-        theta, log_p, grad = prop.theta_star, prop.log_p_star, prop.grad_star
-    else:
-        theta, log_p, grad = state.theta, state.log_p, state.grad
-    return ChainState(theta, log_p, grad, state.theta, state.grad, prop.cov_scale_fwd), accepted
+        return ChainState(prop.theta_star, prop.log_p_star, prop.grad_star), True
+    return ChainState(state.theta, state.log_p, state.grad), False
 
 
 def leapfrog(
@@ -227,9 +229,10 @@ class AdaptiveSampler(MalaSampler):
     """Langevin sampler with the stochastic history-driven proposal scale.
 
     eps doubles as the Langevin step size; beta and xi shape the scale
-    update (see amala.adaptation). Step 0 has no history pair, so it uses
+    update (see amala.adaptation). Step 0 has no previous point, so it uses
     the MALA scale eps^2; adaptation starts at step 1 and consumes one
-    uniform (psi) before the proposal.
+    uniform (psi) before the proposal. Each step records its scale and the
+    norms of its point in the next state, the chain's only history.
     """
 
     name = "adaptive"
@@ -243,17 +246,18 @@ class AdaptiveSampler(MalaSampler):
             raise ValueError("xi must lie in (0, 1)")
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
-        norms = None
-        if state.theta_prev is None:
+        norms = state.norms or (norm(state.theta), norm(state.grad))
+        prev = state.norms_prev
+        if prev is None:
             scale = self.eps * self.eps
         else:
-            norms = state.norms or (norm(state.theta), norm(state.grad))
-            prev = state.norms_prev or (norm(state.theta_prev), norm(state.grad_prev))
             scale = sigma_update(norms[0], prev[0], norms[1], prev[1], state.sigma, self, stream)
         prop = langevin_propose(state, target, self.eps, scale, stream)
         new, accepted = mh_accept(state, prop, stream)
-        # the history shifts forward, and a rejected step stays at its point
-        new.norms_prev = norms
+        # history shifts forward on accept and reject alike, so repeated
+        # rejection drives the norm ratios to 1 and shrinks the scale; a
+        # rejected step stays at its point and keeps its norms
+        new.sigma, new.norms_prev = scale, norms
         if not accepted:
             new.norms = norms
         return new, accepted
@@ -287,11 +291,11 @@ class HmcSampler:
         r = norm(z)
         log_q_fwd = -0.5 * r * r
         if diverged:
-            prop = Proposal(theta_star, None, log_q_fwd, math.nan, NEG_INF, None, True)
+            prop = Proposal(theta_star, log_q_fwd, math.nan, NEG_INF, None, True)
         else:
             r = norm(p_star)
             log_q_rev = -0.5 * r * r
-            prop = Proposal(theta_star, None, log_q_fwd, log_q_rev, target.log_density(theta_star), grad_star)
+            prop = Proposal(theta_star, log_q_fwd, log_q_rev, target.log_density(theta_star), grad_star)
         return mh_accept(state, prop, stream)
 
 

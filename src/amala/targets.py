@@ -30,7 +30,7 @@ def _sum(values) -> float:
     return total
 
 
-def _finite_vector(values, what: str) -> np.ndarray:
+def finite_vector(values, what: str) -> np.ndarray:
     """values as a float vector; a scalar, a nested list or a non-finite or
     non-number element raises a one-line ValueError naming what."""
     # dtype=object keeps each element's own type: a bool among floats is still seen
@@ -195,8 +195,8 @@ class GaussianMixture(TargetDensity):
         if not components:
             raise ValueError("mixture needs at least one component")
         weights = np.array([finite_real(c[0], f"component {i} weight") for i, c in enumerate(components)])
-        means = [_finite_vector(c[1], f"component {i} mean") for i, c in enumerate(components)]
-        variances = [_finite_vector(c[2], f"component {i} variance") for i, c in enumerate(components)]
+        means = [finite_vector(c[1], f"component {i} mean") for i, c in enumerate(components)]
+        variances = [finite_vector(c[2], f"component {i} variance") for i, c in enumerate(components)]
         dim = means[0].size
         for i, (mean, variance) in enumerate(zip(means, variances)):
             if not mean.size:

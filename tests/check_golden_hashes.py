@@ -5,13 +5,16 @@
 runs ``configs/benchmark.json``, the ``mix_chains`` benchmark workload on
 two workers and the ``gauss_hd`` workload (a d = 32 standard normal), each
 built by ``perfbench/workloads.make_config``, through ``python -m
-amala.cli compare``, and exits 1 naming every file whose hash differs from
-``tests/golden/<workload>_seed1_files.json``. The bytes must not depend on
+amala.cli compare`` on this checkout's ``src`` (put first on the
+subprocess's ``PYTHONPATH``, so neither an installed package nor a missing
+one decides what runs), and exits 1 naming every file whose hash differs
+from ``tests/golden/<workload>_seed1_files.json``. The bytes must not depend on
 the CPU: CI runs it again with ``OPENBLAS_CORETYPE`` and
 ``NPY_DISABLE_CPU_FEATURES`` set.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +35,8 @@ def main(out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failed = False
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p)
     for name, (config, workers) in WORKLOADS.items():
         config_path = out / f"{name}.json"
         config_path.write_text(json.dumps(config))
@@ -40,6 +45,7 @@ def main(out_dir: str) -> int:
             [sys.executable, "-m", "amala.cli", "compare", "--config", str(config_path), "--seed", "1",
              "--out", str(run_dir), "--workers", str(workers)],
             check=True,
+            env=env,
             stdout=subprocess.DEVNULL,
         )
         got = json.loads((run_dir / "manifest.json").read_text())["files"]

@@ -124,7 +124,6 @@ def test_criterion_2_detailed_balance_identity():
         mean_rev = b + 0.5 * drift_scale * np.asarray(target.grad_log_density(b))
         return Proposal(
             theta_star=b,
-            cov_scale_fwd=cov_scale,
             log_q_fwd=_gauss_lp(b, mean_fwd, cov_scale),
             log_q_rev=_gauss_lp(a, mean_rev, cov_scale),
             log_p_star=target.log_density(b),

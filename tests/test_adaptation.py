@@ -12,13 +12,22 @@ from amala.adaptation import (
     SQRT_2PI,
     norm,
     psi_draw,
-    ratio_norm_guarded,
     sigma_update,
 )
 from amala.rng import RngStream, split
 from amala.samplers import AdaptiveSampler
 
 getcontext().prec = 60
+
+
+def ratio_norm_guarded(a, b, floor: float) -> float:
+    """||a|| / max(||b||, floor) for same-dimension vectors: each ratio
+    sigma_update forms, from vectors instead of their norms."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("vectors must have the same dimension")
+    return norm(a) / max(norm(b), floor)
 
 
 def sigma_from_vectors(theta_n, theta_prev, grad_n, grad_prev, *rest):

@@ -136,10 +136,10 @@ def langevin_propose_oracle(state, target, eps, scale, stream):
     log_q_fwd = noise_log_density_oracle(z, scale)
     log_p_star = target.log_density(theta_star)
     if log_p_star == NEG_INF:
-        return Proposal(theta_star, scale, log_q_fwd, math.nan, log_p_star, auto_reject=True)
+        return Proposal(theta_star, log_q_fwd, math.nan, log_p_star, auto_reject=True)
     grad_star = np.asarray(target.grad_log_density(theta_star), dtype=float)
     log_q_rev = gaussian_log_density_oracle(state.theta, theta_star + drift * grad_star, scale)
-    return Proposal(theta_star, scale, log_q_fwd, log_q_rev, log_p_star, grad_star)
+    return Proposal(theta_star, log_q_fwd, log_q_rev, log_p_star, grad_star)
 
 
 def mala_propose(state, target, eps, stream):
@@ -155,7 +155,6 @@ def proposal_between(target, a, b, drift_scale, cov_scale):
     mean_rev = b + 0.5 * drift_scale * np.asarray(target.grad_log_density(b))
     return Proposal(
         theta_star=b,
-        cov_scale_fwd=cov_scale,
         log_q_fwd=gauss_logpdf_oracle(b, mean_fwd, cov_scale),
         log_q_rev=gauss_logpdf_oracle(a, mean_rev, cov_scale),
         log_p_star=target.log_density(b),
@@ -184,7 +183,6 @@ class TestMalaPropose:
         assert prop.log_q_fwd == pytest.approx(
             gauss_logpdf_oracle(prop.theta_star, [0.875], 0.25), rel=1e-12
         )
-        assert prop.cov_scale_fwd == 0.25
 
     def test_log_q_matches_gaussian_oracle(self):
         target = GaussianMixture([(0.4, [0.0, 0.0], [1.0, 2.0]), (0.6, [1.0, -1.0], [0.5, 1.0])])
@@ -223,7 +221,7 @@ class TestAdaptivePropose:
         b, acc_b = MalaSampler(params.eps).step(state, NORMAL2, stream_b)
         np.testing.assert_array_equal(a.theta, b.theta)
         assert acc_a == acc_b and a.log_p == b.log_p
-        assert a.sigma == b.sigma == params.eps**2
+        assert a.sigma == params.eps**2 and b.sigma is None
         assert stream_a.counter == stream_b.counter
 
     def _state_with_history(self):
@@ -234,16 +232,15 @@ class TestAdaptivePropose:
             theta=theta,
             log_p=NORMAL2.log_density(theta),
             grad=NORMAL2.grad_log_density(theta),
-            theta_prev=prev,
-            grad_prev=NORMAL2.grad_log_density(prev),
             sigma=0.5,
+            norms_prev=(norm(prev), norm(NORMAL2.grad_log_density(prev))),
         )
 
     def test_adapted_scale_matches_sigma_update(self):
         params = AdaptiveSampler(eps=0.1)
         state = self._state_with_history()
         new, _ = params.step(state, NORMAL2, split(12, 0))
-        norms = (norm(state.theta), norm(state.theta_prev), norm(state.grad), norm(state.grad_prev))
+        norms = (norm(state.theta), state.norms_prev[0], norm(state.grad), state.norms_prev[1])
         expected = sigma_update(*norms, 0.5, params, split(12, 0))
         assert new.sigma == expected
         assert new.sigma == pytest.approx(0.1 / (1.0 + math.exp(-1.0)), rel=1e-14)
@@ -252,10 +249,9 @@ class TestAdaptivePropose:
         params = AdaptiveSampler(eps=0.1)
         state = self._state_with_history()
         stream = split(12, 0)
-        norms = (norm(state.theta), norm(state.theta_prev), norm(state.grad), norm(state.grad_prev))
+        norms = (norm(state.theta), state.norms_prev[0], norm(state.grad), state.norms_prev[1])
         scale = sigma_update(*norms, 0.5, params, stream)
         prop = langevin_propose(state, NORMAL2, params.eps, scale, stream)
-        assert prop.cov_scale_fwd == scale
         mean_rev = prop.theta_star + 0.5 * params.eps**2 * NORMAL2.grad_log_density(prop.theta_star)
         assert prop.log_q_rev == pytest.approx(
             gauss_logpdf_oracle(state.theta, mean_rev, scale), rel=1e-12
@@ -268,9 +264,8 @@ class TestAdaptivePropose:
             theta=state.theta,
             log_p=state.log_p,
             grad=state.grad,
-            theta_prev=np.array([0.26, 0.25]),
-            grad_prev=BOX22.grad_log_density([0.26, 0.25]),
             sigma=2.0,
+            norms_prev=(norm([0.26, 0.25]), norm(BOX22.grad_log_density([0.26, 0.25]))),
         )
         seed = next(s for s in range(100) if not sampler.step(state, BOX22, split(s, 0))[1])
         stream = split(seed, 0)
@@ -289,18 +284,20 @@ class TestAdaptivePropose:
     )
     def test_carried_norms_are_the_points_norms(self, target, init, eps):
         # the kernel carries each point's norms from step to step instead of
-        # computing them again; they must be the norms of the points it holds
+        # computing them again; they must be the norms of the points it holds,
+        # and norms_prev those of the point the step started from, on accept
+        # and reject alike
         sampler = AdaptiveSampler(eps=eps)
         state = init_state(target, init)
         stream = split(3, 0)
-        state, _ = sampler.step(state, target, stream)  # step 0 uses no norms
         carried = 0
-        for _ in range(300):
-            state, _ = sampler.step(state, target, stream)
-            assert state.norms_prev == (norm(state.theta_prev), norm(state.grad_prev))
-            if state.norms is not None:
+        for _ in range(301):
+            new, _ = sampler.step(state, target, stream)
+            assert new.norms_prev == (norm(state.theta), norm(state.grad))
+            if new.norms is not None:
                 carried += 1
-                assert state.norms == (norm(state.theta), norm(state.grad))
+                assert new.norms == (norm(new.theta), norm(new.grad))
+            state = new
         assert carried > 0
 
 
@@ -350,7 +347,6 @@ class TestMhAccept:
         state = init_state(NORMAL1, [0.7])
         prop = Proposal(
             theta_star=np.array([-0.7]),
-            cov_scale_fwd=0.25,
             log_q_fwd=-1.3,
             log_q_rev=-1.3,
             log_p_star=state.log_p,
@@ -360,8 +356,6 @@ class TestMhAccept:
         new, accepted = mh_accept(state, prop, split(0, 0))
         assert accepted
         assert new.theta[0] == -0.7
-        np.testing.assert_array_equal(new.theta_prev, state.theta)
-        assert new.sigma == 0.25
         assert new.log_p == NORMAL1.log_density([-0.7])
         np.testing.assert_allclose(new.grad, NORMAL1.grad_log_density([-0.7]))
 
@@ -369,7 +363,6 @@ class TestMhAccept:
         state = init_state(BOX22, [0.25, 0.25])
         prop = Proposal(
             theta_star=np.array([0.5, 0.25]),
-            cov_scale_fwd=0.01,
             log_q_fwd=-1.0,
             log_q_rev=math.nan,
             log_p_star=NEG_INF,
@@ -380,7 +373,6 @@ class TestMhAccept:
         assert not accepted
         assert stream.counter == 0
         np.testing.assert_array_equal(new.theta, state.theta)
-        np.testing.assert_array_equal(new.theta_prev, state.theta)
 
     def test_hand_computed_acceptance_probability(self):
         # MALA 0 -> 1 on N(0,1) with eps=0.5, alpha computed via scipy oracle
@@ -398,7 +390,6 @@ class TestMhAccept:
         state = init_state(NORMAL1, [0.2])
         prop = Proposal(
             theta_star=np.array([50.0]),
-            cov_scale_fwd=0.25,
             log_q_fwd=-1.0,
             log_q_rev=-1.0,
             log_p_star=NORMAL1.log_density([50.0]),
@@ -406,8 +397,34 @@ class TestMhAccept:
         new, accepted = mh_accept(state, prop, split(2, 0))
         assert not accepted
         assert new.theta[0] == 0.2
-        np.testing.assert_array_equal(new.theta_prev, state.theta)
-        assert new.sigma == 0.25
+        assert (new.sigma, new.norms, new.norms_prev) == (None, None, None)
+        # the history is the adaptive kernel's: a rejected adaptive step stays
+        # at its point, shifts the point's norms into norms_prev and records
+        # its scale, here step 0's eps^2
+        sampler = AdaptiveSampler(eps=3.0)
+        seed = next(s for s in range(100) if not sampler.step(state, NORMAL1, split(s, 0))[1])
+        new, accepted = sampler.step(state, NORMAL1, split(seed, 0))
+        assert not accepted
+        assert new.theta[0] == 0.2
+        assert new.norms_prev == new.norms == (norm(state.theta), norm(state.grad))
+        assert new.sigma == 9.0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"name": "mala", "eps": 0.3}, {"name": "hmc", "eps_leap": 0.1, "n_leap": 5}],
+        ids=["mala", "hmc"],
+    )
+    def test_mala_and_hmc_states_carry_no_history(self, cfg):
+        # only the adaptive kernel keeps a history, on accept and reject alike
+        sampler = make_sampler(cfg)
+        state = init_state(BOX22, [0.25, 0.25])
+        stream = split(4, 0)
+        outcomes = set()
+        for _ in range(200):
+            state, accepted = sampler.step(state, BOX22, stream)
+            outcomes.add(accepted)
+            assert (state.sigma, state.norms, state.norms_prev) == (None, None, None)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("target,points", [
         (NORMAL2, "gauss"),
@@ -575,7 +592,6 @@ class TestHmcStep:
                 assert not accepted
                 assert stream.counter == 2 * d
                 np.testing.assert_array_equal(new.theta, state.theta)
-                np.testing.assert_array_equal(new.theta_prev, state.theta)
                 assert new.log_p == state.log_p and new.grad is state.grad and new.sigma is None
             else:
                 assert stream.counter == 2 * d + 1
@@ -597,7 +613,6 @@ class TestHmcStep:
                 rejected.append(seed)
                 assert stream.counter == 2 * d + 1
                 np.testing.assert_array_equal(new.theta, state.theta)
-                np.testing.assert_array_equal(new.theta_prev, state.theta)
                 assert new.log_p == state.log_p and new.grad is state.grad
         assert rejected
 
@@ -631,7 +646,7 @@ class TestHmcStep:
             theta1, p1, diverged, _ = leapfrog(state.theta, p0, state.grad, params, target)
             new, _ = params.step(state, target, stream)
             prop = handed.pop()
-            assert prop.auto_reject == diverged and prop.cov_scale_fwd is None
+            assert prop.auto_reject == diverged
             if not diverged:
                 assert prop.theta_star.tobytes() == theta1.tobytes()
                 h_old = -state.log_p + 0.5 * float(np.dot(p0, p0))
@@ -711,6 +726,16 @@ class TestInvariance:
             ),
             pytest.param({"name": "hmc", "eps_leap": 0.3, "n_leap": 5}, 2, id="hmc"),
             pytest.param({"name": "mala", "eps": 0.8}, 8, id="mala-d8"),
+            pytest.param(
+                {"name": "adaptive", "eps": 1.13},
+                8,
+                id="adaptive-d8",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the adaptive kernel is not invariant: E[x^2] = 0.966 +- 0.002 (z = -14.9) "
+                    "at eps=1.13, seed 1; its reverse density reuses the forward scale",
+                ),
+            ),
             pytest.param({"name": "hmc", "eps_leap": 0.3, "n_leap": 5}, 8, id="hmc-d8"),
         ],
     )
