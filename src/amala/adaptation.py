@@ -17,8 +17,6 @@ which also guarantees a strictly positive output.
 
 import math
 
-import numpy as np
-
 from .rng import RngStream
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -28,12 +26,12 @@ BASE_FLOOR = 1e-12
 
 
 def norm(v) -> float:
-    """Euclidean norm of a float list or vector: the square root of its
-    squares summed left to right. The bits depend on neither the CPU nor the
-    Python version: a BLAS dot product's would depend on the kernel the CPU
+    """Euclidean norm of a sequence of floats: the square root of its squares
+    summed left to right. The bits depend on neither the CPU nor the Python
+    version: a BLAS dot product's would depend on the kernel the CPU
     selects, and math.hypot's on the Python version."""
     total = 0.0
-    for x in v.tolist() if isinstance(v, np.ndarray) else v:
+    for x in v:
         total += x * x
     return math.sqrt(total)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .diagnostics import build_report, histogram2d
 from .samplers import make_sampler, run_chain
-from .targets import NEG_INF, GaussianMixture, ParticleBox2D, finite_vector, make_target
+from .targets import NEG_INF, GaussianMixture, ParticleBox2D, finite_vector, integer_at_least, make_target
 
 
 @dataclass
@@ -51,9 +51,7 @@ class ExperimentConfig:
         """Validate every field and return the (target, start point) to sample;
         construction calls it, and run_experiment again before any output."""
         for name, low in (("n", 2), ("burn_in", 0), ("chains", 1), ("grid_res", 2), ("max_lag", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            integer_at_least(getattr(self, name), name, low)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be an integer in [0, 2**64)")
         if not isinstance(self.samplers, list) or not self.samplers:
@@ -211,8 +209,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     JSONs and the comparison table carry wall times and are listed without
     hashes.
     """
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    integer_at_least(workers, "workers", 1)
     target, init = config.build()
     out_dir = Path(config.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,6 +21,8 @@ of about 0.93 instead of 1 on a 2D standard normal at eps = 1).
 Each sampler class is a dataclass whose fields are exactly the keys of its
 config block besides "name"; make_sampler builds one from that block.
 
+Vectors are float lists from init_state, which converts the start point
+once, to run_chain's row copies: no step makes a numpy round trip.
 Stream-draw order per step is fixed (scale update if any, proposal noise or
 momentum, acceptance uniform) so chains replay bit-identically; proposals
 on zero-density points and diverged HMC trajectories are auto-rejected
@@ -36,13 +38,14 @@ import numpy as np
 
 from .adaptation import norm, sigma_update
 from .rng import RngStream, split
-from .targets import NEG_INF, TargetDensity, finite_real
+from .targets import NEG_INF, TargetDensity, finite_real, integer_at_least
 
 
 @dataclass
 class ChainState:
     """Current chain position with its cached target values.
 
+    No step changes the theta or grad list of a state it is given.
     sigma, norms and norms_prev are the adaptive kernel's history, written
     by AdaptiveSampler.step alone and None in every MALA and HMC state:
     sigma is the scale of the last adaptive proposal, norms the pair
@@ -50,9 +53,9 @@ class ChainState:
     and norms_prev that of the point the last step started from.
     """
 
-    theta: np.ndarray
+    theta: list[float]
     log_p: float
-    grad: np.ndarray
+    grad: list[float]
     sigma: float | None = None
     norms: tuple[float, float] | None = None
     norms_prev: tuple[float, float] | None = None
@@ -67,16 +70,16 @@ class Proposal:
     the draw is the Gaussian noise: theta_star under N(theta + (eps^2/2)
     grad, scale * I), and the current point under the reverse kernel
     centered at theta_star. For HMC it is the momentum, -|p|^2/2 at the
-    start and at the end of the trajectory. Proposals landing on
-    zero-density points, and diverged trajectories, carry auto_reject,
-    log_p_star -inf and no gradient.
+    start and at the end of the trajectory. theta_star is a new float list.
+    Proposals landing on zero-density points, and diverged trajectories,
+    carry auto_reject, log_p_star -inf and no gradient.
     """
 
-    theta_star: np.ndarray
+    theta_star: list[float]
     log_q_fwd: float
     log_q_rev: float
     log_p_star: float
-    grad_star: np.ndarray | None = None
+    grad_star: list[float] | None = None
     auto_reject: bool = False
 
 
@@ -100,16 +103,16 @@ class Chain:
 
 
 def init_state(target: TargetDensity, init) -> ChainState:
-    """Chain state at the starting point; rejects zero-density inits and a
-    gradient whose shape is not the point's."""
-    theta = np.asarray(init, dtype=float).copy()
+    """Chain state at the starting point, its vectors as float lists; rejects
+    zero-density inits and a gradient whose shape is not the point's."""
+    theta = np.asarray(init, dtype=float)
     log_p = target.log_density(theta)
     if log_p == NEG_INF:
         raise ValueError("initial point has zero density under the target")
     grad = np.asarray(target.grad_log_density(theta), dtype=float)
     if grad.shape != theta.shape:
         raise ValueError(f"gradient has shape {grad.shape} at a point of shape {theta.shape}")
-    return ChainState(theta=theta, log_p=log_p, grad=grad)
+    return ChainState(theta=theta.tolist(), log_p=log_p, grad=grad.tolist())
 
 
 def langevin_propose(
@@ -124,21 +127,20 @@ def langevin_propose(
     the standard normal draw z that makes the move.
     """
     theta = state.theta
-    d = theta.shape[0]
+    d = len(theta)
     drift = 0.5 * eps * eps
-    two_scale = 2.0 * scale
     log_norm = -0.5 * d * math.log(2.0 * math.pi * scale)
-    mean_fwd = theta + drift * state.grad
+    root = math.sqrt(scale)
     z = stream.normals(d)
-    theta_star = mean_fwd + math.sqrt(scale) * np.array(z)
+    theta_star = [(t + drift * g) + root * x for t, g, x in zip(theta, state.grad, z)]
     r = norm(z)
     log_q_fwd = log_norm - 0.5 * r * r
     log_p_star = target.log_density(theta_star)
     if log_p_star == NEG_INF:
         return Proposal(theta_star, log_q_fwd, math.nan, log_p_star, auto_reject=True)
-    grad_star = np.asarray(target.grad_log_density(theta_star), dtype=float)
-    r = norm(theta - (theta_star + drift * grad_star))
-    log_q_rev = log_norm - r * r / two_scale
+    grad_star = target.grad_log_density(theta_star)
+    r = norm([t - (s + drift * g) for t, s, g in zip(theta, theta_star, grad_star)])
+    log_q_rev = log_norm - r * r / (2.0 * scale)
     return Proposal(theta_star, log_q_fwd, log_q_rev, log_p_star, grad_star)
 
 
@@ -169,7 +171,7 @@ def mh_accept(state: ChainState, prop: Proposal, stream: RngStream) -> tuple[Cha
 
 def leapfrog(
     theta, momentum, grad, params: "HmcSampler", target: TargetDensity
-) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray | None]:
+) -> tuple[list[float], list[float], bool, list[float] | None]:
     """n_leap leapfrog iterations (half-kick, drift, half-kick) from theta,
     whose log-density gradient grad the caller already holds.
 
@@ -178,19 +180,16 @@ def leapfrog(
     diverged flags a trajectory that drifted onto a zero-density point,
     where by the TargetDensity contract the gradient raises ValueError;
     the returned momentum is then the mid-step one and grad is None.
-    The loop updates float lists in place (the same IEEE operations as the
-    vector form, without numpy overhead on short vectors) and fuses the
-    closing and opening half-kicks of consecutive iterations as
-    (p + h*g) + h*g, the same two adds in the same order. Each iteration
-    kicks and drifts coordinate i in one pass, since theta[i] depends on
-    p[i] alone. The target gets the working position list, which changes
-    after the call.
+    The loop updates copies of theta and momentum in place, which it
+    returns, and only reads the gradients. It fuses the closing and opening
+    half-kicks of consecutive iterations as (p + h*g) + h*g, the same two
+    adds in the same order. Each iteration kicks and drifts coordinate i in
+    one pass, since theta[i] depends on p[i] alone. The target gets the
+    working position list, which changes after the call.
     """
     eps = params.eps_leap
     half = 0.5 * eps
-    theta = np.asarray(theta, dtype=float).tolist()
-    p = np.asarray(momentum, dtype=float).tolist()
-    g = np.asarray(grad, dtype=float).tolist()
+    theta, p, g = list(theta), list(momentum), grad
     dims = range(len(theta))
     for k in range(params.n_leap):
         for i in dims:
@@ -202,10 +201,10 @@ def leapfrog(
         try:
             g = target.grad_log_density(theta)
         except ValueError:
-            return np.array(theta), np.array(p), True, None
+            return theta, p, True, None
     for i in dims:
         p[i] = p[i] + half * g[i]
-    return np.array(theta), np.array(p), False, np.array(g, dtype=float)
+    return theta, p, False, g
 
 
 @dataclass
@@ -275,8 +274,7 @@ class HmcSampler:
     def __post_init__(self):
         if finite_real(self.eps_leap, "eps_leap") <= 0:
             raise ValueError("eps_leap must be positive")
-        if isinstance(self.n_leap, bool) or not isinstance(self.n_leap, int) or self.n_leap < 1:
-            raise ValueError(f"n_leap must be an integer >= 1, got {self.n_leap!r}")
+        integer_at_least(self.n_leap, "n_leap", 1)
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
         """One HMC transition: momentum refresh, leapfrog, Metropolis-Hastings
@@ -286,8 +284,8 @@ class HmcSampler:
         Leapfrog starts from the cached state.grad and an accepted state keeps
         its last gradient: a step costs n_leap gradients and one log density.
         """
-        z = stream.normals(state.theta.shape[0])
-        theta_star, p_star, diverged, grad_star = leapfrog(state.theta, np.array(z), state.grad, self, target)
+        z = stream.normals(len(state.theta))
+        theta_star, p_star, diverged, grad_star = leapfrog(state.theta, z, state.grad, self, target)
         r = norm(z)
         log_q_fwd = -0.5 * r * r
         if diverged:
@@ -327,14 +325,12 @@ def run_chain(
     same arguments reproduce the chain exactly. Wall time covers the
     sampling loop alone.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
+    integer_at_least(n, "n", 1)
+    integer_at_least(burn_in, "burn_in", 0)
     sampler = make_sampler(sampler_cfg)
     stream = split(seed, chain_id)
     state = init_state(target, init)
-    d = state.theta.shape[0]
+    d = len(state.theta)
     samples = np.empty((n, d))
     log_ps = np.empty(n)
     scores = np.empty((n, d))

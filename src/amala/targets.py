@@ -6,6 +6,7 @@ Metropolis-Hastings step rejects such proposals naturally.
 """
 
 import math
+import struct
 from numbers import Real
 from operator import mul, sub, truediv
 
@@ -19,6 +20,12 @@ def finite_real(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def integer_at_least(value, what: str, low: int) -> None:
+    """Raise ValueError naming what unless value is an int (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
 
 
 def _sum(values) -> float:
@@ -43,17 +50,17 @@ def finite_vector(values, what: str) -> np.ndarray:
 class TargetDensity:
     """Interface shared by all targets: log density and its gradient.
 
-    A point is any length-``dim`` sequence of floats (a numpy vector or a
-    list). ``log_density`` returns a float that may be -inf at zero-density
-    points, never +inf and never NaN for finite points.
-    ``grad_log_density`` returns a length-``dim`` sequence of floats (a
-    list or a numpy vector) and raises ``ValueError`` exactly where
-    ``log_density`` is -inf. HMC's leapfrog relies on that: it evaluates
-    only the gradient along a trajectory and treats the ``ValueError`` as
-    a divergence. Leapfrog passes its own working position list and
-    changes it after the call, so a target must not keep the point. It may
-    memoize by value: results kept under a copy of the point's float64
-    bytes are safe, as the caller's object is never read again.
+    A point is any length-``dim`` sequence of floats; the kernels carry
+    float lists. ``log_density`` returns a float that may be -inf at
+    zero-density points, never +inf and never NaN for finite points.
+    ``grad_log_density`` returns a length-``dim`` float list (as both
+    built-in targets do) or numpy vector, and raises ``ValueError`` exactly
+    where ``log_density`` is -inf. HMC's leapfrog relies on that: it
+    evaluates only the gradient along a trajectory and treats the
+    ``ValueError`` as a divergence. Leapfrog passes its own working position
+    list and changes it after the call, so a target must not keep the point.
+    It may memoize by value: results kept under a copy of the point's
+    float64 bytes are safe, as the caller's object is never read again.
     """
 
     dim = 0
@@ -220,19 +227,21 @@ class GaussianMixture(TargetDensity):
             (math.log(w) - 0.5 * _sum(math.log(2.0 * math.pi * v) for v in var), mean, var)
             for w, mean, var in zip(self.weights.tolist(), means.tolist(), variances.tolist())
         ]
+        self._format = f"{dim}d"
         self._last_key = None
         self._last = None
 
     def _evaluate(self, point) -> tuple:
         """(log density, gradient) at a point; the gradient is None where the
         log density is -inf (every quadratic form overflowed). The last result
-        is kept under the point's float64 bytes, a copy, so a caller that
-        changes its point afterwards only misses."""
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.dim,):
-            raise ValueError(f"point has dimension {point.shape}, target expects ({self.dim},)")
-        key = point.tobytes()
+        is kept under the point's float64 bytes, packed (a third of numpy's
+        time on a list), so a caller that changes its point only misses."""
+        try:
+            key = struct.pack(self._format, *point)
+        except (struct.error, TypeError):
+            raise ValueError(f"point has dimension {np.shape(point)}, target expects ({self.dim},)") from None
         if key != self._last_key:
+            point = np.frombuffer(key)
             self._last = self._single(point) if len(self._components) == 1 else self._mixture(point)
             self._last_key = key
         return self._last
@@ -243,7 +252,7 @@ class GaussianMixture(TargetDensity):
         q = float(np.add.reduce(scaled * diff))
         if q == math.inf:
             return NEG_INF, None
-        return self._components[0][0] - 0.5 * q, -scaled
+        return self._components[0][0] - 0.5 * q, (-scaled).tolist()
 
     def _mixture(self, point: np.ndarray) -> tuple:
         x = point.tolist()
@@ -269,11 +278,11 @@ class GaussianMixture(TargetDensity):
     def log_density(self, point) -> float:
         return self._evaluate(point)[0]
 
-    def grad_log_density(self, point) -> np.ndarray:
+    def grad_log_density(self, point) -> list[float]:
         grad = self._evaluate(point)[1]
         if grad is None:
             raise ValueError("gradient requested at a zero-density point")
-        return np.array(grad)  # a new array: the caller owns it, the memo keeps its own
+        return list(grad)  # a new list: the caller owns it, the memo keeps its own
 
 
 def standard_normal(dim: int = 1) -> GaussianMixture:

@@ -193,7 +193,7 @@ def test_criterion_5_hmc_integrator():
     theta0 = np.array([0.8, -1.1])
     p0 = np.array([0.4, 0.9])
     theta1, p1, _, _ = leapfrog(theta0, p0, normal2.grad_log_density(theta0), params, normal2)
-    theta2, p2, _, _ = leapfrog(theta1, -p1, normal2.grad_log_density(theta1), params, normal2)
+    theta2, p2, _, _ = leapfrog(theta1, -np.asarray(p1), normal2.grad_log_density(theta1), params, normal2)
     reversible = np.max(np.abs(theta2 - theta0)) < 1e-10 and np.max(np.abs(p2 + p0)) < 1e-10
 
     def mean_abs_dh(eps):
@@ -204,6 +204,7 @@ def test_criterion_5_hmc_integrator():
             q0 = np.array(stream.normals(1))
             m0 = np.array(stream.normals(1))
             q1, m1, _, _ = leapfrog(q0, m0, NORMAL1.grad_log_density(q0), p, NORMAL1)
+            m1 = np.asarray(m1)
             h0 = -NORMAL1.log_density(q0) + 0.5 * float(m0 @ m0)
             h1 = -NORMAL1.log_density(q1) + 0.5 * float(m1 @ m1)
             total += abs(h1 - h0)

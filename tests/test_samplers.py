@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -130,15 +131,16 @@ def langevin_propose_oracle(state, target, eps, scale, stream):
     """langevin_propose with a separate density call per side and no shared
     terms: the bit-level reference for the inlined proposal."""
     drift = 0.5 * eps * eps
-    mean_fwd = state.theta + drift * state.grad
-    z = stream.normals(state.theta.shape[0])
+    theta = np.asarray(state.theta, dtype=float)
+    mean_fwd = theta + drift * np.asarray(state.grad, dtype=float)
+    z = stream.normals(theta.shape[0])
     theta_star = mean_fwd + math.sqrt(scale) * np.array(z)
     log_q_fwd = noise_log_density_oracle(z, scale)
     log_p_star = target.log_density(theta_star)
     if log_p_star == NEG_INF:
         return Proposal(theta_star, log_q_fwd, math.nan, log_p_star, auto_reject=True)
     grad_star = np.asarray(target.grad_log_density(theta_star), dtype=float)
-    log_q_rev = gaussian_log_density_oracle(state.theta, theta_star + drift * grad_star, scale)
+    log_q_rev = gaussian_log_density_oracle(theta, theta_star + drift * grad_star, scale)
     return Proposal(theta_star, log_q_fwd, log_q_rev, log_p_star, grad_star)
 
 
@@ -190,11 +192,11 @@ class TestMalaPropose:
         for _ in range(20):
             state = init_state(target, stream.normals(2))
             prop = mala_propose(state, target, 0.3, stream)
-            mean_fwd = state.theta + 0.5 * 0.09 * state.grad
+            mean_fwd = np.asarray(state.theta) + 0.5 * 0.09 * np.asarray(state.grad)
             assert prop.log_q_fwd == pytest.approx(
                 gauss_logpdf_oracle(prop.theta_star, mean_fwd, 0.09), rel=1e-12
             )
-            mean_rev = prop.theta_star + 0.5 * 0.09 * target.grad_log_density(prop.theta_star)
+            mean_rev = np.asarray(prop.theta_star) + 0.5 * 0.09 * np.asarray(target.grad_log_density(prop.theta_star))
             assert prop.log_q_rev == pytest.approx(
                 gauss_logpdf_oracle(state.theta, mean_rev, 0.09), rel=1e-12
             )
@@ -252,7 +254,8 @@ class TestAdaptivePropose:
         norms = (norm(state.theta), state.norms_prev[0], norm(state.grad), state.norms_prev[1])
         scale = sigma_update(*norms, 0.5, params, stream)
         prop = langevin_propose(state, NORMAL2, params.eps, scale, stream)
-        mean_rev = prop.theta_star + 0.5 * params.eps**2 * NORMAL2.grad_log_density(prop.theta_star)
+        grad_star = np.asarray(NORMAL2.grad_log_density(prop.theta_star))
+        mean_rev = np.asarray(prop.theta_star) + 0.5 * params.eps**2 * grad_star
         assert prop.log_q_rev == pytest.approx(
             gauss_logpdf_oracle(state.theta, mean_rev, scale), rel=1e-12
         )
@@ -324,7 +327,8 @@ class TestProposeOracle:
         state = init_state(target, theta)
         if adaptive:
             # a history-driven scale, as the adaptive kernel draws it
-            history = (state.theta, 1.1 * state.theta, state.grad, 0.9 * state.grad)
+            theta, grad = np.asarray(state.theta), np.asarray(state.grad)
+            history = (theta, 1.1 * theta, grad, 0.9 * grad)
             scale = sigma_update(*map(norm, history), eps, AdaptiveSampler(eps=eps), split(7, 1))
             assert scale != eps * eps
         else:
@@ -473,7 +477,7 @@ class TestLeapfrog:
         theta0 = np.array([0.9, -1.4])
         p0 = np.array([0.3, 0.8])
         theta1, p1, _, _ = leapfrog(theta0, p0, NORMAL2.grad_log_density(theta0), params, NORMAL2)
-        theta2, p2, _, _ = leapfrog(theta1, -p1, NORMAL2.grad_log_density(theta1), params, NORMAL2)
+        theta2, p2, _, _ = leapfrog(theta1, -np.asarray(p1), NORMAL2.grad_log_density(theta1), params, NORMAL2)
         np.testing.assert_allclose(theta2, theta0, atol=1e-10)
         np.testing.assert_allclose(p2, -p0, atol=1e-10)
 
@@ -494,7 +498,7 @@ class TestLeapfrog:
         params = HmcSampler(eps_leap=0.01, n_leap=7)
         theta, _, diverged, grad = leapfrog(theta0, [0.5, -0.2], target.grad_log_density(theta0), params, target)
         assert not diverged
-        assert grad.tolist() == np.asarray(target.grad_log_density(theta)).tolist()
+        assert np.asarray(grad).tolist() == np.asarray(target.grad_log_density(theta)).tolist()
 
     def test_diverged_trajectory_returns_no_gradient(self):
         params = HmcSampler(eps_leap=0.5, n_leap=5)
@@ -525,12 +529,12 @@ class TestLeapfrog:
         theta, p, diverged, grad = leapfrog(*args, params, target)
         want_theta, want_p, want_diverged, want_grad = leapfrog_oracle(*copies, params, target)
         assert diverged == want_diverged == (eps_leap == 0.5)
-        assert theta.tobytes() == want_theta.tobytes()
-        assert p.tobytes() == want_p.tobytes()
+        assert np.asarray(theta).tobytes() == want_theta.tobytes()
+        assert np.asarray(p).tobytes() == want_p.tobytes()
         if diverged:
             assert grad is None and want_grad is None
         else:
-            assert grad.tobytes() == want_grad.tobytes()
+            assert np.asarray(grad, dtype=float).tobytes() == want_grad.tobytes()
         # the caller's inputs are left as they were
         for arg, copy in zip(args, copies):
             assert np.asarray(arg).tobytes() == copy.tobytes()
@@ -544,6 +548,7 @@ class TestHmcStep:
             theta0 = np.array(stream.normals(1))
             p0 = np.array(stream.normals(1))
             theta1, p1, _, _ = leapfrog(theta0, p0, NORMAL1.grad_log_density(theta0), params, NORMAL1)
+            p1 = np.asarray(p1)
             h0 = -NORMAL1.log_density(theta0) + 0.5 * float(p0 @ p0)
             h1 = -NORMAL1.log_density(theta1) + 0.5 * float(p1 @ p1)
             assert math.exp(min(0.0, h0 - h1)) > 0.9999
@@ -557,6 +562,7 @@ class TestHmcStep:
                 theta0 = np.array(stream.normals(1))
                 p0 = np.array(stream.normals(1))
                 theta1, p1, _, _ = leapfrog(theta0, p0, NORMAL1.grad_log_density(theta0), params, NORMAL1)
+                p1 = np.asarray(p1)
                 h0 = -NORMAL1.log_density(theta0) + 0.5 * float(p0 @ p0)
                 h1 = -NORMAL1.log_density(theta1) + 0.5 * float(p1 @ p1)
                 total += abs(h1 - h0)
@@ -580,7 +586,7 @@ class TestHmcStep:
         target = RefusalCountingBox()
         state = init_state(target, [0.25, 0.25])
         params = HmcSampler(eps_leap=0.1, n_leap=5)
-        d = state.theta.shape[0]
+        d = len(state.theta)
         seen = set()
         for seed in range(50):
             stream = split(seed, 0)
@@ -603,7 +609,7 @@ class TestHmcStep:
         target = RefusalCountingBox()
         state = init_state(target, [0.25, 0.25])
         params = HmcSampler(eps_leap=0.1, n_leap=5)
-        d = state.theta.shape[0]
+        d = len(state.theta)
         rejected = []
         for seed in range(50):
             stream = split(seed, 0)
@@ -642,13 +648,13 @@ class TestHmcStep:
         for _ in range(60):
             twin = split(21, 0)
             twin.counter = stream.counter
-            p0 = np.array(twin.normals(state.theta.shape[0]))
+            p0 = np.array(twin.normals(len(state.theta)))
             theta1, p1, diverged, _ = leapfrog(state.theta, p0, state.grad, params, target)
             new, _ = params.step(state, target, stream)
             prop = handed.pop()
             assert prop.auto_reject == diverged
             if not diverged:
-                assert prop.theta_star.tobytes() == theta1.tobytes()
+                assert np.asarray(prop.theta_star).tobytes() == np.asarray(theta1).tobytes()
                 h_old = -state.log_p + 0.5 * float(np.dot(p0, p0))
                 h_new = -target.log_density(theta1) + 0.5 * float(np.dot(p1, p1))
                 assert log_accept_ratio(state, prop) == pytest.approx(h_old - h_new, rel=1e-12)
@@ -697,6 +703,43 @@ class TestHmcStep:
             HmcSampler(eps_leap=0.0)
         with pytest.raises(ValueError):
             HmcSampler(n_leap=0)
+
+
+MIX4 = GaussianMixture([(0.3, [-1.0] * 4, [0.5] * 4), (0.7, [1.0] * 4, [1.0] * 4)])
+
+
+class TestStateVectors:
+    """States carry float lists, and leapfrog updates lists in place: no step
+    may change the vectors of a state it was given, or of any earlier one."""
+
+    @pytest.mark.parametrize(
+        "cfg,target,init",
+        [
+            pytest.param({"name": "adaptive", "eps": 0.03}, BOX22, [0.25, 0.25], id="adaptive-box"),
+            pytest.param({"name": "mala", "eps": 0.2}, BOX22, [0.25, 0.25], id="mala-box"),
+            pytest.param({"name": "hmc", "eps_leap": 0.05, "n_leap": 20}, BOX22, [0.25, 0.25], id="hmc-box"),
+            pytest.param({"name": "adaptive", "eps": 0.6}, MIX4, [1.0] * 4, id="adaptive-mix4"),
+            pytest.param({"name": "mala", "eps": 0.6}, MIX4, [1.0] * 4, id="mala-mix4"),
+            pytest.param({"name": "hmc", "eps_leap": 0.3, "n_leap": 10}, MIX4, [1.0] * 4, id="hmc-mix4"),
+        ],
+    )
+    def test_steps_leave_given_states_unchanged(self, cfg, target, init):
+        sampler = make_sampler(cfg)
+        state = init_state(target, init)
+        stream = split(5, 0)
+        held = []
+        outcomes = set()
+        for _ in range(80):
+            copies = (list(state.theta), list(state.grad))
+            held.append((state, copies))
+            new, accepted = sampler.step(state, target, stream)
+            assert (state.theta, state.grad) == copies
+            assert isinstance(new.theta, list) and isinstance(new.grad, list)
+            outcomes.add(accepted)
+            state = new
+        assert outcomes == {True, False}
+        for old, copies in held:
+            assert (old.theta, old.grad) == copies
 
 
 class TestInvariance:
@@ -802,6 +845,15 @@ class TestRunChain:
     def test_invalid_init_rejected(self):
         with pytest.raises(ValueError):
             run_chain({"name": "mala", "eps": 0.1}, BOX22, 10, 0, [0.5, 0.25], 1, 0)
+
+    @pytest.mark.parametrize(
+        "field,value", [("n", 2.5), ("n", True), ("n", 0), ("burn_in", 1.5), ("burn_in", True), ("burn_in", -1)]
+    )
+    def test_bad_lengths_rejected(self, field, value):
+        lengths = {"n": 10, "burn_in": 0, field: value}
+        low = 1 if field == "n" else 0
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer >= {low}, got {value!r}")):
+            run_chain({"name": "mala", "eps": 0.5}, NORMAL1, lengths["n"], lengths["burn_in"], [0.0], 1, 0)
 
     def test_box_chain_never_leaves_support(self):
         cfg = {"name": "adaptive", "eps": 0.2}

@@ -356,7 +356,7 @@ class TestMixtureMemo:
             want = bits(fresh(components, "grad_log_density", p))
             first = target.grad_log_density(p)
             assert bits(first) == want
-            first *= 3.0  # the caller owns the returned gradient
+            first[0] *= 3.0  # the caller owns the returned gradient
             assert bits(target.grad_log_density(p)) == want
 
     def test_log_density_at_p_then_gradient_at_q(self, components):
@@ -435,6 +435,13 @@ class HalfPlaneTarget(TargetDensity):
 HALF_PLANE = HalfPlaneTarget()
 
 
+class ListGradientHalfPlane(HalfPlaneTarget):
+    """HalfPlaneTarget whose gradient is a float list instead of a numpy vector."""
+
+    def grad_log_density(self, point) -> list:
+        return super().grad_log_density(point).tolist()
+
+
 class ShortGradientTarget(HalfPlaneTarget):
     """HalfPlaneTarget whose gradient is a 1-element list at a 2-D point."""
 
@@ -453,6 +460,23 @@ class TestCustomTarget:
         assert report.acf.shape == (2, 21) and np.all(report.ess > 0)
         assert report.tv_distance is None and report.mode_coverage is None
         assert math.isfinite(report.fisher_trace) and report.fisher_trace > 0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"name": "adaptive", "eps": 0.5},
+            {"name": "mala", "eps": 0.5},
+            {"name": "hmc", "eps_leap": 0.3, "n_leap": 5},
+        ],
+        ids=["adaptive", "mala", "hmc"],
+    )
+    def test_numpy_and_list_gradients_give_the_same_chain(self, cfg):
+        # the kernels carry lists; a custom target may still return a numpy vector
+        a = run_chain(cfg, HALF_PLANE, 500, 50, [1.0, 0.0], 17, 0)
+        b = run_chain(cfg, ListGradientHalfPlane(), 500, 50, [1.0, 0.0], 17, 0)
+        assert 0.0 < a.acceptance_rate < 1.0
+        for field in ("samples", "log_ps", "accepted", "scores"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     @pytest.mark.parametrize(
         "cfg",
