@@ -12,14 +12,14 @@ the timing-bearing reports unhashed.
 Chains may run in parallel (`--workers`, at most one process per chain),
 each worker writing the files of the chains it ran; file contents and
 aggregates are ordered by (sampler name, chain id), so results are
-worker-count-independent.
+worker-count-independent. `--workers 1` runs every chain in-process and
+loads no process pool.
 """
 
 import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -121,10 +121,16 @@ def _write_chain_csv(path: Path, chain):
 
     tolist() gives the Python floats whose repr _fmt writes, so the bytes
     match formatting each value on its own; chunking bounds the memory the
-    row strings take.
+    row strings take. A row whose point and log_p have the bits of the row
+    before it (a rejected step, mostly) reuses that row's text; comparing
+    bits, not values or the accepted flag, keeps 0.0 and -0.0 apart.
     """
     n, d = chain.samples.shape
     step = chain.meta["burn_in"] + 1
+    points = chain.samples.view(np.uint64)
+    log_ps = chain.log_ps.view(np.uint64)
+    repeat = np.zeros(n, dtype=bool)
+    repeat[1:] = (points[1:] == points[:-1]).all(axis=1) & (log_ps[1:] == log_ps[:-1])
     with open(path, "w", newline="\n") as fh:
         fh.write("step," + ",".join(f"x{j}" for j in range(d)) + ",log_p,accepted\n")
         for start in range(0, n, _CHAIN_CSV_ROWS):
@@ -133,13 +139,14 @@ def _write_chain_csv(path: Path, chain):
                 chain.samples[start:stop].tolist(),
                 chain.log_ps[start:stop].tolist(),
                 chain.accepted[start:stop].tolist(),
+                repeat[start:stop].tolist(),
             )
-            fh.write(
-                "".join(
-                    f"{step + i},{','.join(map(repr, coords))},{log_p!r},{int(acc)}\n"
-                    for i, (coords, log_p, acc) in enumerate(rows, start)
-                )
-            )
+            lines = []
+            for i, (coords, log_p, acc, same) in enumerate(rows, start):
+                if not same:
+                    values = f"{','.join(map(repr, coords))},{log_p!r}"
+                lines.append(f"{step + i},{values},{int(acc)}\n")
+            fh.write("".join(lines))
 
 
 def _write_acf_csv(path: Path, acf: np.ndarray):
@@ -225,6 +232,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     # than there are chains to run
     workers = min(workers, len(jobs))
     if workers > 1:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, jobs))
     else:

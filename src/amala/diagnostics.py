@@ -19,6 +19,8 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
 
     A constant series raises, found by equality since its float mean can
     round off the value; so does one whose centred sum of squares is 0.
+    That sum is numpy's pairwise reduction, not a BLAS dot: the ACF makes no
+    BLAS call, so it wakes no BLAS thread beside a serial run.
     """
     x = np.asarray(series, dtype=float)
     n = x.shape[0]
@@ -27,11 +29,13 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     if not 0 <= max_lag < n:
         raise ValueError("max_lag must satisfy 0 <= max_lag < n")
     xc = x - x.mean()
-    denom = float(np.dot(xc, xc))
-    if denom == 0.0 or np.all(x == x[0]):
+    if np.add.reduce(xc * xc) == 0.0 or np.all(x == x[0]):
         raise ValueError("series is constant or has zero variance; autocorrelation undefined")
     f = np.fft.rfft(xc, 2 * n)
-    acov = np.fft.irfft(f * np.conj(f))[: max_lag + 1]
+    del xc
+    power = f * np.conj(f)
+    del f
+    acov = np.fft.irfft(power)[: max_lag + 1]
     rho = acov / acov[0]
     rho[0] = 1.0
     return rho

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +244,32 @@ class TestRunExperiment:
         _write_chain_csv(path, chain)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # a run of equal rows across a chunk boundary, then a new point
+            [(0.1 + 0.2, 1e-300, -2.5)] * (_CHAIN_CSV_ROWS - 3)
+            + [(0.25, 5e-324, -1.0)] * 7
+            + [(0.25, 5e-324, -1.5), (0.25, 5e-324, -1.5)],
+            # equal values with other bits: 0.0 then -0.0, in a coordinate and in log_p
+            [(0.0, 1.0, 0.0), (-0.0, 1.0, 0.0), (-0.0, 1.0, -0.0), (-0.0, 1.0, -0.0)],
+            # the first row repeats the start point: rejected, yet written from its own values
+            [(0.5, 0.5, -3.0)] * 4,
+        ],
+        ids=["across-chunks", "signed-zero", "first-row-repeat"],
+    )
+    def test_repeated_rows_match_per_value_repr(self, tmp_path, rows):
+        samples = np.array([r[:2] for r in rows])
+        log_ps = np.array([r[2] for r in rows])
+        accepted = np.zeros(len(rows), dtype=bool)
+        chain = Chain(samples=samples, log_ps=log_ps, accepted=accepted, scores=samples, meta={"burn_in": 0})
+        lines = ["step,x0,x1,log_p,accepted"]
+        for i, (x0, x1, log_p) in enumerate(rows):
+            lines.append(f"{i + 1},{repr(float(x0))},{repr(float(x1))},{repr(float(log_p))},0")
+        path = tmp_path / "chain.csv"
+        _write_chain_csv(path, chain)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_diag_json_fields(self, tmp_path):
         cfg = ExperimentConfig(**base_config(outputs=str(tmp_path / "out"), chains=1))
         run_experiment(cfg)
@@ -313,7 +341,7 @@ class TestRunExperiment:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr("amala.cli.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         one_sampler = {"samplers": [{"name": "mala", "eps": 0.05}]}
         serial = run_experiment(ExperimentConfig(**base_config(outputs=str(tmp_path / "w1"), **one_sampler)))
         assert built == []
@@ -482,6 +510,23 @@ class TestMain:
         }
         for k in range(2):
             assert json.loads((out / f"mala_chain{k}_diag.json").read_text())["acceptance_rate"] == 0.0
+
+    @pytest.mark.parametrize("workers,loaded", [(1, []), (2, ["concurrent.futures.process", "multiprocessing"])])
+    def test_only_a_pooled_run_loads_the_process_pool(self, tmp_path, workers, loaded):
+        root = Path(__file__).resolve().parents[1]
+        argv = ["run", "--config", str(root / "configs" / "quick.json")]
+        argv += ["--workers", str(workers), "--out", str(tmp_path / "out")]
+        code = (
+            "import sys\n"
+            "from amala.cli import main\n"
+            f"status = main({argv!r})\n"
+            "pool = ['concurrent.futures.process', 'multiprocessing']\n"
+            "print(status, [m for m in pool if m in sys.modules])\n"
+        )
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.stdout == f"0 {loaded}\n", proc.stderr
 
     def test_module_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path, outputs=str(tmp_path / "out"), chains=1, n=20)
