@@ -158,8 +158,16 @@ def _write_acf_csv(path: Path, acf: np.ndarray):
     _write_text(path, "\n".join(lines) + "\n")
 
 
+_HASH_CHUNK = 1 << 16  # bytes per read in _sha256
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Hex SHA-256 of a file, fed in fixed-size reads, never held whole."""
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        while chunk := f.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _chain_job(args, out_dir: Path, grid_res: int, max_lag: int):

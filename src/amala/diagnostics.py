@@ -20,7 +20,8 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     A constant series raises, found by equality since its float mean can
     round off the value; so does one whose centred sum of squares is 0.
     That sum is numpy's pairwise reduction, not a BLAS dot: the ACF makes no
-    BLAS call, so it wakes no BLAS thread beside a serial run.
+    BLAS call, so it wakes no BLAS thread beside a serial run. It is centred
+    into half of one zeroed 2n buffer, so rfft makes no zero-padded copy.
     """
     x = np.asarray(series, dtype=float)
     n = x.shape[0]
@@ -28,11 +29,13 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
         raise ValueError("series must have at least 2 points")
     if not 0 <= max_lag < n:
         raise ValueError("max_lag must satisfy 0 <= max_lag < n")
-    xc = x - x.mean()
+    buf = np.zeros(2 * n)
+    xc = np.subtract(x, x.mean(), out=buf[:n])
     if np.add.reduce(xc * xc) == 0.0 or np.all(x == x[0]):
         raise ValueError("series is constant or has zero variance; autocorrelation undefined")
-    f = np.fft.rfft(xc, 2 * n)
     del xc
+    f = np.fft.rfft(buf)
+    del buf
     power = f * np.conj(f)
     del f
     acov = np.fft.irfft(power)[: max_lag + 1]

@@ -108,7 +108,8 @@ class ParticleBox2D(TargetDensity):
     def log_density(self, point) -> float:
         x = float(point[0])
         y = float(point[1])
-        if x <= 0.0 or x >= self.lx or y <= 0.0 or y >= self.ly:
+        # negated, so that a NaN coordinate is outside the box too
+        if not (x > 0.0 and x < self.lx and y > 0.0 and y < self.ly):
             return NEG_INF
         # integer scaled coordinates (nx*x/Lx, ny*y/Ly), the box walls
         # included, are exactly where a factor sin(pi*t) vanishes
@@ -125,7 +126,7 @@ class ParticleBox2D(TargetDensity):
     def grad_log_density(self, point) -> list[float]:
         x = float(point[0])
         y = float(point[1])
-        if x <= 0.0 or x >= self.lx or y <= 0.0 or y >= self.ly:
+        if not (x > 0.0 and x < self.lx and y > 0.0 and y < self.ly):
             raise ValueError("gradient requested at a zero-density point")
         tx = self.nx * x / self.lx
         ty = self.ny * y / self.ly

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,9 @@ import pytest
 
 from amala.cli import (
     _CHAIN_CSV_ROWS,
+    _HASH_CHUNK,
     ExperimentConfig,
+    _sha256,
     _write_chain_csv,
     compare_samplers,
     load_config,
@@ -544,6 +548,28 @@ class TestMain:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
+
+
+class TestSha256:
+    @pytest.mark.parametrize(
+        "size", [0, 1, _HASH_CHUNK - 1, _HASH_CHUNK, _HASH_CHUNK + 1, 3 * _HASH_CHUNK + 7]
+    )
+    def test_matches_whole_file_digest(self, tmp_path, size):
+        data = (bytes(range(251)) * (size // 251 + 1))[:size]
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        assert _sha256(path) == hashlib.sha256(data).hexdigest()
+
+    def test_never_holds_the_whole_file(self, tmp_path):
+        path = tmp_path / "blob"
+        path.write_bytes(bytes(range(256)) * (4 << 12))  # 4 MiB
+        tracemalloc.start()
+        try:
+            _sha256(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestShippedConfigs:

@@ -60,6 +60,18 @@ def box_oracle_samples(box, n, rng):
     return np.column_stack([xs, ys])
 
 
+def acf_padded_copy(series, max_lag):
+    """The ACF as rfft(x - mean, 2n) computed it, padding a copy of the
+    centred series; autocorrelation must give the same bits."""
+    x = np.asarray(series, dtype=float)
+    n = x.shape[0]
+    f = np.fft.rfft(x - x.mean(), 2 * n)
+    acov = np.fft.irfft(f * np.conj(f))[: max_lag + 1]
+    rho = acov / acov[0]
+    rho[0] = 1.0
+    return rho
+
+
 # constants whose float mean is not the value itself
 INEXACT_MEAN_CONSTANTS = [np.full(1001, 0.1), np.full(7, 0.7)]
 
@@ -78,6 +90,17 @@ class TestAutocorrelation:
     def test_alternating_series_against_oracle(self):
         x = np.tile([1.0, -1.0], 256)
         np.testing.assert_allclose(autocorrelation(x, 10), acf_brute_force(x, 10), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 333, 1024])
+    def test_bits_match_padded_copy_oracle(self, n):
+        x = np.cumsum(np.random.default_rng(n).normal(size=n))
+        for max_lag in (0, n - 1):
+            assert autocorrelation(x, max_lag).tobytes() == acf_padded_copy(x, max_lag).tobytes()
+
+    @pytest.mark.parametrize("max_lag", [1999, 200])
+    def test_box_chain_bits_match_padded_copy_oracle(self, max_lag):
+        column = run_chain({"name": "mala", "eps": 0.1}, BOX22, 2000, 0, [0.25, 0.25], 1, 0).samples[:, 0]
+        assert autocorrelation(column, max_lag).tobytes() == acf_padded_copy(column, max_lag).tobytes()
 
     def test_white_noise_decorrelated(self):
         rng = np.random.default_rng(2)
