@@ -28,7 +28,7 @@ import numpy as np
 
 from .diagnostics import build_report, histogram2d
 from .samplers import make_sampler, run_chain
-from .targets import NEG_INF, GaussianMixture, ParticleBox2D, finite_vector, integer_at_least, make_target
+from .targets import NEG_INF, GaussianMixture, ParticleBox2D, finite_vector, integer_at_least, make_target, uint64
 
 
 @dataclass
@@ -52,8 +52,7 @@ class ExperimentConfig:
         construction calls it, and run_experiment again before any output."""
         for name, low in (("n", 2), ("burn_in", 0), ("chains", 1), ("grid_res", 2), ("max_lag", 1)):
             integer_at_least(getattr(self, name), name, low)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must be an integer in [0, 2**64)")
+        uint64(self.seed, "seed")
         if not isinstance(self.samplers, list) or not self.samplers:
             raise ValueError("config needs a list of at least one sampler block")
         for what, block in [("target", self.target)] + [("sampler", s) for s in self.samplers]:

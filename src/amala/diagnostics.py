@@ -112,7 +112,7 @@ def mode_coverage(samples, box: ParticleBox2D) -> float:
 
 def empirical_fisher(scores) -> np.ndarray:
     """Monte Carlo estimate of E[score score^T] from the scores (log-density
-    gradients) at samples of the target, one row per sample."""
+    gradients) at samples of the target, one row per sample; no run calls it."""
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] == 0:
         raise ValueError("scores must be a nonempty n x d matrix")
@@ -129,7 +129,6 @@ class DiagnosticsReport:
     wall_time_s: float
     tv_distance: float | None = None
     mode_coverage: float | None = None
-    fisher_trace: float | None = None
 
     def to_dict(self) -> dict:
         return {**asdict(self), "acf": self.acf.tolist(), "ess": self.ess.tolist()}
@@ -161,7 +160,6 @@ def build_report(chain, target: TargetDensity, grid_res: int = 32, max_lag: int 
         hist = histogram2d(samples, target, grid_res)
         tv = tv_distance(hist, target.analytic_grid(grid_res))
         coverage = mode_coverage(samples, target)
-    fisher_trace = float(np.trace(empirical_fisher(chain.scores)))
     return DiagnosticsReport(
         acf=acf,
         ess=ess_vec,
@@ -169,5 +167,4 @@ def build_report(chain, target: TargetDensity, grid_res: int = 32, max_lag: int 
         wall_time_s=float(chain.meta.get("wall_time_s", 0.0)),
         tv_distance=tv,
         mode_coverage=coverage,
-        fisher_trace=fisher_trace,
     )

@@ -38,7 +38,7 @@ import numpy as np
 
 from .adaptation import norm, sigma_update
 from .rng import RngStream, split
-from .targets import NEG_INF, TargetDensity, finite_real, integer_at_least
+from .targets import NEG_INF, TargetDensity, finite_real, finite_vector, integer_at_least, uint64
 
 
 @dataclass
@@ -85,16 +85,11 @@ class Proposal:
 
 @dataclass
 class Chain:
-    """Post-burn-in samples of one chain plus run metadata.
-
-    scores[j] is the log-density gradient at samples[j], the one the
-    kernel itself evaluated there.
-    """
+    """Post-burn-in samples of one chain plus run metadata; no gradients."""
 
     samples: np.ndarray
     log_ps: np.ndarray
     accepted: np.ndarray
-    scores: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
@@ -104,8 +99,8 @@ class Chain:
 
 def init_state(target: TargetDensity, init) -> ChainState:
     """Chain state at the starting point, its vectors as float lists; rejects
-    zero-density inits and a gradient whose shape is not the point's."""
-    theta = np.asarray(init, dtype=float)
+    non-finite and zero-density inits and a gradient not shaped as the point."""
+    theta = finite_vector(init, "init element")
     log_p = target.log_density(theta)
     if log_p == NEG_INF:
         raise ValueError("initial point has zero density under the target")
@@ -327,13 +322,14 @@ def run_chain(
     """
     integer_at_least(n, "n", 1)
     integer_at_least(burn_in, "burn_in", 0)
+    uint64(seed, "seed")
+    uint64(chain_id, "chain_id")
     sampler = make_sampler(sampler_cfg)
     stream = split(seed, chain_id)
     state = init_state(target, init)
     d = len(state.theta)
     samples = np.empty((n, d))
     log_ps = np.empty(n)
-    scores = np.empty((n, d))
     accepted = np.empty(n, dtype=bool)
     t0 = time.perf_counter()
     for i in range(burn_in + n):
@@ -342,14 +338,13 @@ def run_chain(
             j = i - burn_in
             samples[j] = state.theta
             log_ps[j] = state.log_p
-            scores[j] = state.grad
             accepted[j] = acc
     wall = time.perf_counter() - t0
     meta = {
         "sampler": sampler.name,
-        "seed": int(seed),
-        "chain_id": int(chain_id),
+        "seed": seed,
+        "chain_id": chain_id,
         "burn_in": int(burn_in),
         "wall_time_s": wall,
     }
-    return Chain(samples=samples, log_ps=log_ps, accepted=accepted, scores=scores, meta=meta)
+    return Chain(samples=samples, log_ps=log_ps, accepted=accepted, meta=meta)

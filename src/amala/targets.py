@@ -28,6 +28,12 @@ def integer_at_least(value, what: str, low: int) -> None:
         raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
 
 
+def uint64(value, what: str) -> None:
+    """Raise ValueError naming what unless value is an int (not a bool) in [0, 2**64)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 1 << 64:
+        raise ValueError(f"{what} must be an integer in [0, 2**64), got {value!r}")
+
+
 def _sum(values) -> float:
     """Left-to-right float sum. The builtin sum compensates its rounding from
     Python 3.12 on, so its bits depend on the Python version; these do not."""

@@ -239,7 +239,7 @@ class TestRunExperiment:
         samples = np.resize(np.array(awkward), (n, 3))
         log_ps = np.resize(np.array(awkward[::-1]), n)
         accepted = np.arange(n) % 3 == 0
-        chain = Chain(samples=samples, log_ps=log_ps, accepted=accepted, scores=samples, meta={"burn_in": 7})
+        chain = Chain(samples=samples, log_ps=log_ps, accepted=accepted, meta={"burn_in": 7})
         lines = ["step,x0,x1,x2,log_p,accepted"]
         for i in range(n):
             coords = ",".join(repr(float(v)) for v in samples[i])
@@ -266,7 +266,7 @@ class TestRunExperiment:
         samples = np.array([r[:2] for r in rows])
         log_ps = np.array([r[2] for r in rows])
         accepted = np.zeros(len(rows), dtype=bool)
-        chain = Chain(samples=samples, log_ps=log_ps, accepted=accepted, scores=samples, meta={"burn_in": 0})
+        chain = Chain(samples=samples, log_ps=log_ps, accepted=accepted, meta={"burn_in": 0})
         lines = ["step,x0,x1,log_p,accepted"]
         for i, (x0, x1, log_p) in enumerate(rows):
             lines.append(f"{i + 1},{repr(float(x0))},{repr(float(x1))},{repr(float(log_p))},0")

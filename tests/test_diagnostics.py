@@ -270,15 +270,6 @@ class TestEmpiricalFisher:
         assert abs(G[0, 0] - analytic_diag) / analytic_diag < 0.15
         assert abs(G[1, 1] - analytic_diag) / analytic_diag < 0.15
 
-    @pytest.mark.parametrize("target", [BOX22, MIX_2D])
-    def test_matches_per_row_oracle(self, target):
-        # the report's Fisher comes from the chain's scores, which are the
-        # target's own gradients at the samples, bit for bit
-        chain = run_chain({"name": "adaptive", "eps": 0.1}, target, 2000, 0, [0.25, 0.25], 12, 0)
-        scores = scores_at(target, chain.samples)
-        oracle = np.trace(scores.T @ scores / scores.shape[0])
-        assert build_report(chain, target, max_lag=10).fisher_trace == oracle
-
     @pytest.mark.parametrize("scores", [np.empty((0, 2)), np.ones(3), np.ones((2, 2, 2))])
     def test_bad_shape_rejected(self, scores):
         with pytest.raises(ValueError):
@@ -295,7 +286,6 @@ class TestBuildReport:
         assert 0.0 <= report.acceptance_rate <= 1.0
         assert report.tv_distance is not None and 0.0 <= report.tv_distance <= 1.0
         assert report.mode_coverage is not None and 0.0 <= report.mode_coverage <= 1.0
-        assert report.fisher_trace is not None and report.fisher_trace > 0
         assert report.wall_time_s > 0
 
     @pytest.mark.parametrize("max_lag", [5, 200, 10_000])
@@ -328,7 +318,6 @@ class TestBuildReport:
             "wall_time_s",
             "tv_distance",
             "mode_coverage",
-            "fisher_trace",
         }
         assert payload["tv_distance"] is None
         assert isinstance(payload["acf"][0], list)
@@ -338,7 +327,6 @@ class TestBuildReport:
             samples=np.array([[0.25, 0.25], [0.5, 0.25]]),
             log_ps=np.array([BOX22.log_density([0.25, 0.25]), -math.inf]),
             accepted=np.array([True, True]),
-            scores=np.zeros((2, 2)),
             meta={"wall_time_s": 0.1},
         )
         with pytest.raises(ValueError, match="zero-density"):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -907,17 +908,21 @@ class TestRunChain:
     )
     @pytest.mark.parametrize("target_name", ["box", "mixture"])
     def test_scores_are_the_gradients_at_the_samples(self, cfg, target_name):
+        # the gradient a state caches is the target's own at its point, bit
+        # for bit, after accepts, rejects and (box HMC) divergences alike
         if target_name == "box":
             target, init = RefusalCountingBox(), [0.25, 0.25]
         else:
             target, init = MIX2, [-1.0, 0.0]
-        chain = run_chain(cfg, target, 350, 0, init, seed=1, chain_id=0)
+        sampler, stream = make_sampler(cfg), split(1, 0)
+        state, rejected = init_state(target, init), 0
+        for _ in range(350):
+            state, accepted = sampler.step(state, target, stream)
+            rejected += not accepted
+            assert np.array(state.grad).tobytes() == np.array(target.grad_log_density(state.theta)).tobytes()
         if target_name == "box" and cfg["name"] == "hmc":
             # the chain holds diverged steps and energy rejections
-            assert target.refused > 0 and np.count_nonzero(~chain.accepted) > target.refused
-        stacked = np.array([target.grad_log_density(x) for x in chain.samples])
-        assert chain.scores.shape == chain.samples.shape
-        assert chain.scores.tobytes() == stacked.tobytes()
+            assert target.refused > 0 and rejected > target.refused
 
     @pytest.mark.parametrize(
         "cfg",
@@ -932,7 +937,7 @@ class TestRunChain:
         # the box returns its gradient as a list; a numpy vector is equally valid
         a = run_chain(cfg, BOX22, 300, 50, [0.25, 0.25], seed=1, chain_id=0)
         b = run_chain(cfg, ArrayGradBox(), 300, 50, [0.25, 0.25], seed=1, chain_id=0)
-        for field in ("samples", "log_ps", "accepted", "scores"):
+        for field in ("samples", "log_ps", "accepted"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     def test_meta_contents(self):
@@ -941,6 +946,43 @@ class TestRunChain:
         assert chain.meta["seed"] == 13 and chain.meta["chain_id"] == 2
         assert chain.meta["burn_in"] == 2
         assert set(chain.meta) == {"sampler", "seed", "chain_id", "burn_in", "wall_time_s"}
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", 2**64),
+            ("seed", -1),
+            ("seed", True),
+            ("seed", 1.0),
+            ("chain_id", 2**64),
+            ("chain_id", -1),
+            ("chain_id", True),
+            ("chain_id", 0.0),
+        ],
+    )
+    def test_bad_seed_or_chain_id_rejected(self, field, value):
+        # RngStream masks to 64 bits, so seed 2**64 would run seed 0's chain
+        ids = {"seed": 1, "chain_id": 0, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer in [0, 2**64), got {value!r}")):
+            run_chain({"name": "mala", "eps": 0.5}, NORMAL1, 10, 0, [0.0], ids["seed"], ids["chain_id"])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_init_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"init element must be a finite number, got {bad!r}")):
+            run_chain({"name": "mala", "eps": 0.5}, NORMAL2, 10, 0, [bad, 0.0], 1, 0)
+
+    def test_peak_memory_is_one_sample_matrix(self):
+        # a kept step copies its point into the n x d samples and nothing
+        # else of size d, so the peak stays near that one matrix
+        n, d = 2000, 128
+        target = standard_normal(d)
+        tracemalloc.start()
+        try:
+            run_chain({"name": "mala", "eps": 0.1}, target, n, 0, [0.0] * d, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * d * 8
 
 
 # id -> (sampler block, target, init, SHA-256 of the 300 kept samples and log

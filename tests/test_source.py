@@ -19,7 +19,7 @@ def test_no_assert_statements_in_package():
 # builtin sum, compensated from 3.12 on); the hashed files must not
 NUMPY_BANNED = ("dot", "vdot", "inner", "matmul", "einsum", "exp", "log")
 BANNED = {f"{mod}.{fn}" for mod in ("np", "numpy") for fn in NUMPY_BANNED} | {"math.hypot"}
-# the one matrix product: the Fisher estimate, a reported number only
+# the one matrix product: the library-only Fisher estimate, which no run calls
 MATMUL_ALLOWED = {"diagnostics.empirical_fisher"}
 
 

@@ -461,7 +461,6 @@ class TestCustomTarget:
         report = build_report(chain, HALF_PLANE, max_lag=20)
         assert report.acf.shape == (2, 21) and np.all(report.ess > 0)
         assert report.tv_distance is None and report.mode_coverage is None
-        assert math.isfinite(report.fisher_trace) and report.fisher_trace > 0
 
     @pytest.mark.parametrize(
         "cfg",
@@ -477,7 +476,7 @@ class TestCustomTarget:
         a = run_chain(cfg, HALF_PLANE, 500, 50, [1.0, 0.0], 17, 0)
         b = run_chain(cfg, ListGradientHalfPlane(), 500, 50, [1.0, 0.0], 17, 0)
         assert 0.0 < a.acceptance_rate < 1.0
-        for field in ("samples", "log_ps", "accepted", "scores"):
+        for field in ("samples", "log_ps", "accepted"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     @pytest.mark.parametrize(
