@@ -36,11 +36,6 @@ def norm(v) -> float:
     return math.sqrt(total)
 
 
-def psi_draw(sigma_prev: float, stream: RngStream) -> float:
-    """One uniform draw from [0, sqrt(2*pi) + sigma_prev)."""
-    return stream.next_uniform() * (SQRT_2PI + sigma_prev)
-
-
 def sigma_update(
     theta_norm: float,
     theta_norm_prev: float,
@@ -64,7 +59,7 @@ def sigma_update(
     r_grad = (grad_norm / max(grad_norm_prev, NORM_FLOOR)) ** 2
     if math.isnan(r_theta) or math.isnan(r_grad):
         raise ValueError("NaN in the chain history")
-    psi = psi_draw(sigma_prev, stream)
+    psi = stream.next_uniform() * (SQRT_2PI + sigma_prev)
     base = params.beta + psi * (r_theta - r_grad)
     clamped = max(base, BASE_FLOOR)
     return params.eps * clamped**params.xi / (1.0 + math.exp(-r_grad))

@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import build_report, histogram2d
-from .samplers import make_sampler, run_chain
-from .targets import NEG_INF, GaussianMixture, ParticleBox2D, finite_vector, integer_at_least, make_target, uint64
+from .samplers import check_init, make_sampler, run_chain
+from .targets import GaussianMixture, ParticleBox2D, finite_vector, integer_at_least, make_target, uint64
 
 
 @dataclass
@@ -65,8 +65,7 @@ class ExperimentConfig:
             raise ValueError("sampler names must be unique (files are named by sampler)")
         target = make_target(self.target.get("name"), self.target)
         init = resolve_init(self.init, target)
-        if target.log_density(init) == NEG_INF:
-            raise ValueError(f"init {init.tolist()} is not a point of positive target density")
+        check_init(target, init)
         return target, init
 
 

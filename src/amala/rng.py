@@ -11,9 +11,9 @@ take the top 53 bits. Normal variates use the trigonometric Box-Muller
 transform and consume exactly two uniforms each; this choice is fixed
 because output files are hashed for reproducibility checks.
 
-Uniforms are computed a block of consecutive counters at a time in numpy
-uint64 arithmetic, which wraps mod 2**64 like the masked integer form, so a
-block holds the same bits as the scalar formula; it is only a cache.
+The key and the uniforms are computed in numpy uint64 arithmetic, which
+wraps mod 2**64 as the formula does; uniforms a block of consecutive
+counters at a time, so a block holds the formula's bits and is only a cache.
 """
 
 import math
@@ -28,30 +28,30 @@ _INV_2_53 = 2.0 ** -53
 _BLOCK = 512  # uniforms computed per refill
 
 
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer: a bijective avalanche mix of a 64-bit word."""
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _stream_key(seed: int, stream_id: int) -> int:
-    return _mix64(_mix64(seed ^ _GAMMA) ^ _mix64(stream_id))
-
-
-def _uniforms(key: int, start: int, size: int) -> list[float]:
-    """The uniforms at counters start, ..., start + size - 1 (mod 2**64); array
-    operations only, as numpy scalar-with-scalar ones warn on overflow."""
-    x = np.arange(size, dtype=np.uint64) * np.uint64(_GAMMA)
-    x += np.uint64((key + start * _GAMMA) & _MASK64)
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array: a bijective avalanche
+    mix of each 64-bit word. Array operations only, as numpy scalar-with-scalar
+    ones warn on overflow."""
     x ^= x >> 30
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> 27
     x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> 31
-    x >>= 11
-    return (x.astype(np.float64) * _INV_2_53).tolist()
+    return x
+
+
+def _stream_key(seed: int, stream_id: int) -> int:
+    """mix64(mix64(seed ^ GAMMA) ^ mix64(stream_id)) for 64-bit seed and stream_id."""
+    words = _mix64(np.array([seed ^ _GAMMA, stream_id], dtype=np.uint64))
+    words[:1] ^= words[1:]
+    return int(_mix64(words[:1])[0])
+
+
+def _uniforms(key: int, start: int, size: int) -> list[float]:
+    """The uniforms at counters start, ..., start + size - 1 (mod 2**64)."""
+    x = np.arange(size, dtype=np.uint64) * np.uint64(_GAMMA)
+    x += np.uint64((key + start * _GAMMA) & _MASK64)
+    return ((_mix64(x) >> 11) * _INV_2_53).tolist()
 
 
 @dataclass
@@ -90,10 +90,6 @@ class RngStream:
             i = 0
         self.counter = (self.counter + 1) & _MASK64
         return self._block[i]
-
-    def next_normal(self) -> float:
-        """Return one standard normal variate; advances the counter by 2."""
-        return self.normals(1)[0]
 
     def normals(self, n: int) -> list[float]:
         """Return n standard normal variates; advances the counter by 2n.

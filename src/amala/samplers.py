@@ -97,13 +97,19 @@ class Chain:
         return float(self.accepted.mean())
 
 
-def init_state(target: TargetDensity, init) -> ChainState:
-    """Chain state at the starting point, its vectors as float lists; rejects
-    non-finite and zero-density inits and a gradient not shaped as the point."""
+def check_init(target: TargetDensity, init) -> tuple:
+    """(init as a float vector, its log density); rejects non-finite and zero-density inits."""
     theta = finite_vector(init, "init element")
     log_p = target.log_density(theta)
     if log_p == NEG_INF:
-        raise ValueError("initial point has zero density under the target")
+        raise ValueError(f"init {theta.tolist()} is not a point of positive target density")
+    return theta, log_p
+
+
+def init_state(target: TargetDensity, init) -> ChainState:
+    """Chain state at the starting point, its vectors as float lists; rejects
+    what check_init rejects and a gradient not shaped as the point."""
+    theta, log_p = check_init(target, init)
     grad = np.asarray(target.grad_log_density(theta), dtype=float)
     if grad.shape != theta.shape:
         raise ValueError(f"gradient has shape {grad.shape} at a point of shape {theta.shape}")

@@ -56,9 +56,10 @@ def finite_vector(values, what: str) -> np.ndarray:
 class TargetDensity:
     """Interface shared by all targets: log density and its gradient.
 
-    A point is any length-``dim`` sequence of floats; the kernels carry
-    float lists. ``log_density`` returns a float that may be -inf at
-    zero-density points, never +inf and never NaN for finite points.
+    A point is any length-``dim`` sequence of floats (both built-in targets
+    raise ``ValueError`` for another length); the kernels carry float
+    lists. ``log_density`` returns a float that may be -inf at zero-density
+    points, never +inf and never NaN for finite points.
     ``grad_log_density`` returns a length-``dim`` float list (as both
     built-in targets do) or numpy vector, and raises ``ValueError`` exactly
     where ``log_density`` is -inf. HMC's leapfrog relies on that: it
@@ -112,26 +113,27 @@ class ParticleBox2D(TargetDensity):
         self._ky = 2.0 * (self.ny * math.pi / self.ly)
 
     def log_density(self, point) -> float:
-        x = float(point[0])
-        y = float(point[1])
+        x, y = point
+        x = float(x)
+        y = float(y)
         # negated, so that a NaN coordinate is outside the box too
         if not (x > 0.0 and x < self.lx and y > 0.0 and y < self.ly):
             return NEG_INF
         # integer scaled coordinates (nx*x/Lx, ny*y/Ly), the box walls
-        # included, are exactly where a factor sin(pi*t) vanishes
+        # included, are exactly where a factor sin(pi*t) vanishes: any other
+        # pi*t is a positive double (pi*5e-324 is 1.5e-323), never a multiple of pi
         tx = self.nx * x / self.lx
         ty = self.ny * y / self.ly
         if tx == math.floor(tx) or ty == math.floor(ty):
             return NEG_INF
         sx = math.sin(math.pi * tx)
         sy = math.sin(math.pi * ty)
-        if sx == 0.0 or sy == 0.0:
-            return NEG_INF
         return self._log_norm + 2.0 * math.log(abs(sx)) + 2.0 * math.log(abs(sy))
 
     def grad_log_density(self, point) -> list[float]:
-        x = float(point[0])
-        y = float(point[1])
+        x, y = point
+        x = float(x)
+        y = float(y)
         if not (x > 0.0 and x < self.lx and y > 0.0 and y < self.ly):
             raise ValueError("gradient requested at a zero-density point")
         tx = self.nx * x / self.lx
@@ -142,8 +144,6 @@ class ParticleBox2D(TargetDensity):
         uy = math.pi * ty
         sx = math.sin(ux)
         sy = math.sin(uy)
-        if sx == 0.0 or sy == 0.0:
-            raise ValueError("gradient requested at a zero-density point")
         gmax = self.gmax
         gx = self._kx * (math.cos(ux) / sx)
         gy = self._ky * (math.cos(uy) / sy)

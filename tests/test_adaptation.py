@@ -11,7 +11,6 @@ from amala.adaptation import (
     NORM_FLOOR,
     SQRT_2PI,
     norm,
-    psi_draw,
     sigma_update,
 )
 from amala.rng import RngStream, split
@@ -86,20 +85,33 @@ class TestRatioNormGuarded:
             ratio_norm_guarded([1.0], [1.0, 2.0], 1e-12)
 
 
+def root_one_plus_psi(sigma_prev, stream):
+    """One sigma_update whose output is sqrt(1 + psi): r_theta = 1, r_grad = 0,
+    beta = 1, xi = 1/2 and eps = 2, so its one uniform draw psi is read back."""
+    return sigma_update(1.0, 1.0, 0.0, 1.0, sigma_prev, AdaptiveSampler(eps=2.0), stream)
+
+
 class TestPsiDraw:
     def test_matches_scaled_uniform(self):
+        # r_theta = 4 and r_grad = 2.25 are exact, so the update's bits are
+        # those of psi = u * (sqrt(2 pi) + sigma_prev) for the stream's next u
         stream = split(31, 0)
         u = RngStream(stream.seed, stream.stream_id, stream.counter).next_uniform()
-        assert psi_draw(2.0, stream) == u * (SQRT_2PI + 2.0)
+        params = AdaptiveSampler(eps=0.3, beta=0.7, xi=0.4)
+        psi = u * (SQRT_2PI + 2.0)
+        want = 0.3 * max(0.7 + psi * (4.0 - 2.25), BASE_FLOOR) ** 0.4 / (1.0 + math.exp(-2.25))
+        assert sigma_update(2.0, 1.0, 3.0, 2.0, 2.0, params, stream) == want
+        assert stream.counter == 1
 
     def test_bounds_with_zero_sigma(self):
         stream = split(8, 0)
-        draws = [psi_draw(0.0, stream) for _ in range(1000)]
-        assert all(0.0 <= v < SQRT_2PI for v in draws)
+        roots = [root_one_plus_psi(0.0, stream) for _ in range(1000)]
+        assert stream.counter == 1000
+        assert all(1.0 <= v <= math.sqrt(1.0 + SQRT_2PI) for v in roots)
 
     def test_mean(self):
         stream = split(17, 0)
-        draws = [psi_draw(1.0, stream) for _ in range(10_000)]
+        draws = [root_one_plus_psi(1.0, stream) ** 2 - 1.0 for _ in range(10_000)]
         expected = (SQRT_2PI + 1.0) / 2.0
         assert abs(np.mean(draws) - expected) / expected < 0.05
 
@@ -163,7 +175,7 @@ class TestSigmaUpdate:
             theta_prev = np.array(stream.normals(d))
             grad_n = 3.0 * np.array(stream.normals(d))
             grad_prev = 3.0 * np.array(stream.normals(d))
-            sigma_prev = abs(stream.next_normal())
+            sigma_prev = abs(stream.normals(1)[0])
             params = AdaptiveSampler(
                 eps=0.05 + stream.next_uniform(),
                 beta=0.5 + stream.next_uniform(),
@@ -171,7 +183,7 @@ class TestSigmaUpdate:
             )
             draw_stream = split(1000 + case, 0)
             replay = RngStream(draw_stream.seed, draw_stream.stream_id, draw_stream.counter)
-            psi = psi_draw(sigma_prev, replay)
+            psi = replay.next_uniform() * (SQRT_2PI + sigma_prev)
             got = sigma_from_vectors(theta_n, theta_prev, grad_n, grad_prev, sigma_prev, params, draw_stream)
             want = float(sigma_oracle(theta_n, theta_prev, grad_n, grad_prev, psi, params))
             assert got == pytest.approx(want, rel=1e-12)
@@ -184,10 +196,10 @@ class TestSigmaUpdate:
             theta_prev = np.array(stream.normals(2))
             grad_n = np.array(stream.normals(2))
             grad_prev = np.array(stream.normals(2))
-            sigma_prev = abs(stream.next_normal())
+            sigma_prev = abs(stream.normals(1)[0])
             draw_stream = split(int(sigma_prev * 1e6), 0)
             replay = RngStream(draw_stream.seed, draw_stream.stream_id, draw_stream.counter)
-            psi = psi_draw(sigma_prev, replay)
+            psi = replay.next_uniform() * (SQRT_2PI + sigma_prev)
             got = sigma_from_vectors(theta_n, theta_prev, grad_n, grad_prev, sigma_prev, params, draw_stream)
             r_theta = ratio_norm_guarded(theta_n, theta_prev, NORM_FLOOR) ** 2
             r_grad = ratio_norm_guarded(grad_n, grad_prev, NORM_FLOOR) ** 2

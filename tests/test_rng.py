@@ -17,7 +17,7 @@ def test_same_state_same_value():
     a = RngStream(seed=9, stream_id=3, counter=41)
     b = RngStream(seed=9, stream_id=3, counter=41)
     assert a.next_uniform() == b.next_uniform()
-    assert a.next_normal() == b.next_normal()
+    assert a.normals(1) == b.normals(1)
 
 
 def test_uniform_range():
@@ -44,7 +44,7 @@ def test_normal_moments():
 
 def test_normal_consumes_two_uniforms():
     a = RngStream(seed=1, stream_id=0)
-    a.next_normal()
+    a.normals(1)
     assert a.counter == 2
     b = RngStream(seed=1, stream_id=0)
     b.next_uniform()
@@ -54,8 +54,8 @@ def test_normal_consumes_two_uniforms():
 def test_advanced_clone_diverges():
     a = RngStream(seed=77, stream_id=0)
     b = RngStream(a.seed, a.stream_id, a.counter)
-    b.next_normal()
-    assert a.next_normal() != b.next_normal()
+    b.normals(1)
+    assert a.normals(1) != b.normals(1)
 
 
 def test_split_deterministic_and_distinct():
@@ -116,18 +116,18 @@ def normal_oracle(stream):
 # uniforms in all
 MIXED_CALLS = (
     [
-        ("next_normal", None),
+        ("normals", 1),
         ("next_uniform", None),
         ("normals", 1),
         ("normals", 0),
-        ("next_normal", None),
+        ("normals", 1),
         ("normals", 3),
         ("next_uniform", None),
         ("normals", 7),
     ]
     + [("next_uniform", None)] * 483
-    + [("next_normal", None), ("normals", 300), ("next_uniform", None)]
-    + [("next_normal", None), ("normals", 300)]
+    + [("normals", 1), ("normals", 300), ("next_uniform", None)]
+    + [("normals", 1), ("normals", 300)]
 )
 
 
@@ -144,8 +144,6 @@ def replay_oracle(stream, calls):
     for method, arg in calls:
         if method == "next_uniform":
             out.append(uniform_oracle(stream))
-        elif method == "next_normal":
-            out.append(normal_oracle(stream))
         else:
             out.extend(normal_oracle(stream) for _ in range(arg))
     return out

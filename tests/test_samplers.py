@@ -844,7 +844,7 @@ class TestRunChain:
         assert chain.acceptance_rate >= 0.99
 
     def test_invalid_init_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("init [0.5, 0.25] is not a point of positive target density")):
             run_chain({"name": "mala", "eps": 0.1}, BOX22, 10, 0, [0.5, 0.25], 1, 0)
 
     @pytest.mark.parametrize(

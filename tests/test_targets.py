@@ -259,6 +259,7 @@ class TestGaussianMixture:
 
 
 BOX_3X2 = ParticleBox2D(1.3, 0.7, 3, 2)
+BOX_1P7 = ParticleBox2D(1.7, 1.0, 3, 2)
 MIX2_COMPONENTS = [(0.3, [-1.0, -1.0], [0.5, 0.5]), (0.7, [1.0, 1.0], [1.0, 1.0])]
 MIX2 = GaussianMixture(MIX2_COMPONENTS)
 ZERO_DENSITY_POINTS = [
@@ -286,6 +287,8 @@ ZERO_DENSITY_POINTS = [
     # quadratic forms that overflow in the far tails of the Gaussians
     (standard_normal(2), [1e200, 0.0]),
     (MIX2, [0.0, -1e200]),
+    # one ulp inside the wall x = 1.7, where nx * x / Lx rounds to exactly 3.0
+    (BOX_1P7, [math.nextafter(1.7, 0.0), 0.25]),
 ]
 
 
@@ -314,6 +317,38 @@ class TestTargetContract:
         for point in ([1e6, -1e6], [1e100, 0.0], [-3.0, 40.0]):
             assert math.isfinite(target.log_density(point))
             assert np.all(np.isfinite(target.grad_log_density(point)))
+
+    @pytest.mark.parametrize("target", [BOX22, BOX_3X2, BOX11, BOX_1P7])
+    def test_finite_density_exactly_where_gradient_exists(self, target):
+        # every wall and nodal line on both axes, one and two ulps either
+        # side, subnormal coordinates of both signs and seeded interior ones
+        stream = split(11, 0)
+        axes = []
+        for n, length in ((target.nx, target.lx), (target.ny, target.ly)):
+            coords = [0.0, 5e-324, 2.5e-323, 1e-310, 2.2250738585072014e-308, -5e-324, -1e-310]
+            for k in range(n + 1):
+                line = k * length / n
+                coords += [line, math.nextafter(line, 0.0), math.nextafter(line, math.inf)]
+                coords += [math.nextafter(math.nextafter(line, v), v) for v in (0.0, math.inf)]
+            axes.append(coords + [length * stream.next_uniform() for _ in range(8)])
+        for x in axes[0]:
+            for y in axes[1]:
+                log_p = target.log_density([x, y])
+                assert log_p < math.inf
+                if log_p == NEG_INF:
+                    with pytest.raises(ValueError, match="zero-density point"):
+                        target.grad_log_density([x, y])
+                else:
+                    assert all(math.isfinite(g) for g in target.grad_log_density([x, y]))
+
+    @pytest.mark.parametrize("target", [BOX22, MIX2])
+    @pytest.mark.parametrize("point", [[0.2], [0.2, 0.3, 0.9]])
+    def test_point_of_wrong_length_rejected(self, target, point):
+        for method in (target.log_density, target.grad_log_density):
+            with pytest.raises(ValueError):
+                method(point)
+            with pytest.raises(ValueError):
+                method(np.array(point))
 
 
 # the mix_chains benchmark mixture
