@@ -27,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import build_report, histogram2d
+from .rng import uint64
 from .samplers import check_init, make_sampler, run_chain
-from .targets import GaussianMixture, ParticleBox2D, finite_vector, integer_at_least, make_target, uint64
+from .targets import GaussianMixture, ParticleBox2D, integer_at_least, make_target
 
 
 @dataclass
@@ -64,9 +65,7 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ValueError("sampler names must be unique (files are named by sampler)")
         target = make_target(self.target.get("name"), self.target)
-        init = resolve_init(self.init, target)
-        check_init(target, init)
-        return target, init
+        return target, check_init(target, resolve_init(self.init, target))[0]
 
 
 def load_config(path, seed=None, out=None) -> ExperimentConfig:
@@ -79,8 +78,8 @@ def load_config(path, seed=None, out=None) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
-def resolve_init(init, target) -> np.ndarray:
-    """The start point named by "mode_center" or a list of target.dim numbers."""
+def resolve_init(init, target):
+    """The start point named by "mode_center", or init itself, which check_init checks."""
     if isinstance(init, str):
         if init != "mode_center":
             raise ValueError(f"unknown init spec: {init!r}")
@@ -89,10 +88,7 @@ def resolve_init(init, target) -> np.ndarray:
         if isinstance(target, GaussianMixture):
             return target.means[0].copy()
         raise ValueError("mode_center init is not defined for this target")
-    point = finite_vector(init, "init element")
-    if point.shape != (target.dim,):
-        raise ValueError(f"init has shape {point.shape}, the target expects ({target.dim},)")
-    return point
+    return init
 
 
 def _fmt(x) -> str:

@@ -40,6 +40,12 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def uint64(value, what: str) -> None:
+    """Raise ValueError naming what unless value is an int (not a bool) in [0, 2**64)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 1 << 64:
+        raise ValueError(f"{what} must be an integer in [0, 2**64), got {value!r}")
+
+
 def _stream_key(seed: int, stream_id: int) -> int:
     """mix64(mix64(seed ^ GAMMA) ^ mix64(stream_id)) for 64-bit seed and stream_id."""
     words = _mix64(np.array([seed ^ _GAMMA, stream_id], dtype=np.uint64))
@@ -56,7 +62,7 @@ def _uniforms(key: int, start: int, size: int) -> list[float]:
 
 @dataclass
 class RngStream:
-    """One single-owner random stream identified by (seed, stream_id).
+    """One single-owner random stream identified by (seed, stream_id), each in [0, 2**64).
 
     The counter is the only mutable state; a stream rebuilt from the same
     seed, stream id and counter reproduces the exact same sequence. Draws
@@ -69,8 +75,8 @@ class RngStream:
     counter: int = 0
 
     def __post_init__(self):
-        self.seed &= _MASK64
-        self.stream_id &= _MASK64
+        uint64(self.seed, "seed")
+        uint64(self.stream_id, "stream_id")
         self._key = _stream_key(self.seed, self.stream_id)
         self._start = 0  # _block[j] is the uniform at counter _start + j
         self._block = []

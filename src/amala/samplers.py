@@ -30,6 +30,7 @@ without consuming the acceptance uniform.
 """
 
 import math
+import struct
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -37,8 +38,8 @@ from typing import Mapping
 import numpy as np
 
 from .adaptation import norm, sigma_update
-from .rng import RngStream, split
-from .targets import NEG_INF, TargetDensity, finite_real, finite_vector, integer_at_least, uint64
+from .rng import RngStream, split, uint64
+from .targets import NEG_INF, TargetDensity, finite_real, finite_vector, integer_at_least
 
 
 @dataclass
@@ -98,8 +99,10 @@ class Chain:
 
 
 def check_init(target: TargetDensity, init) -> tuple:
-    """(init as a float vector, its log density); rejects non-finite and zero-density inits."""
+    """(init as a float vector, its log density); rejects non-finite, wrong-length and zero-density inits."""
     theta = finite_vector(init, "init element")
+    if theta.shape != (target.dim,):
+        raise ValueError(f"init has shape {theta.shape}, the target expects ({target.dim},)")
     log_p = target.log_density(theta)
     if log_p == NEG_INF:
         raise ValueError(f"init {theta.tolist()} is not a point of positive target density")
@@ -324,27 +327,27 @@ def run_chain(
 
     The chain draws from split(seed, chain_id) only, so reruns with the
     same arguments reproduce the chain exactly. Wall time covers the
-    sampling loop alone.
+    sampling loop alone. A kept point is packed straight into its samples row.
     """
     integer_at_least(n, "n", 1)
     integer_at_least(burn_in, "burn_in", 0)
-    uint64(seed, "seed")
     uint64(chain_id, "chain_id")
-    sampler = make_sampler(sampler_cfg)
     stream = split(seed, chain_id)
+    sampler = make_sampler(sampler_cfg)
     state = init_state(target, init)
     d = len(state.theta)
     samples = np.empty((n, d))
     log_ps = np.empty(n)
     accepted = np.empty(n, dtype=bool)
+    pack_row, row_bytes = struct.Struct(f"{d}d").pack_into, 8 * d
     t0 = time.perf_counter()
-    for i in range(burn_in + n):
+    for _ in range(burn_in):
+        state = sampler.step(state, target, stream)[0]
+    for j in range(n):
         state, acc = sampler.step(state, target, stream)
-        if i >= burn_in:
-            j = i - burn_in
-            samples[j] = state.theta
-            log_ps[j] = state.log_p
-            accepted[j] = acc
+        pack_row(samples, j * row_bytes, *state.theta)
+        log_ps[j] = state.log_p
+        accepted[j] = acc
     wall = time.perf_counter() - t0
     meta = {
         "sampler": sampler.name,

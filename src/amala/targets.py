@@ -28,12 +28,6 @@ def integer_at_least(value, what: str, low: int) -> None:
         raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
 
 
-def uint64(value, what: str) -> None:
-    """Raise ValueError naming what unless value is an int (not a bool) in [0, 2**64)."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 1 << 64:
-        raise ValueError(f"{what} must be an integer in [0, 2**64), got {value!r}")
-
-
 def _sum(values) -> float:
     """Left-to-right float sum. The builtin sum compensates its rounding from
     Python 3.12 on, so its bits depend on the Python version; these do not."""
@@ -314,7 +308,12 @@ def make_target(name: str, params: dict) -> TargetDensity:
         return ParticleBox2D(params["Lx"], params["Ly"], params["nx"], params["ny"], params.get("gmax", 1e6))
     if name == "gauss_mix":
         _check_fields(params, "gauss_mix target", ("components",), ("name",))
-        for i, c in enumerate(params["components"]):
+        components = params["components"]
+        if not isinstance(components, list):
+            raise ValueError(f"gauss_mix field 'components' must be a list of JSON objects, got {components!r}")
+        for i, c in enumerate(components):
+            if not isinstance(c, dict):
+                raise ValueError(f"gauss_mix component {i} must be a JSON object, got {c!r}")
             _check_fields(c, f"gauss_mix component {i}", ("weight", "mean", "variance"))
-        return GaussianMixture([(c["weight"], c["mean"], c["variance"]) for c in params["components"]])
+        return GaussianMixture([(c["weight"], c["mean"], c["variance"]) for c in components])
     raise ValueError(f"unknown target: {name!r}")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,18 @@ def test_extreme_seeds_accepted(seed):
     s = split(seed, 0)
     u = s.next_uniform()
     assert 0.0 <= u < 1.0
+
+
+@pytest.mark.parametrize("value", [2**64, -1, True, 1.5])
+@pytest.mark.parametrize("field", ["seed", "stream_id"])
+def test_out_of_range_seed_or_stream_id_rejected(field, value):
+    # neither is wrapped: seed 2**64 is not seed 0's stream, nor True seed 1's
+    ids = {"seed": 1, "stream_id": 0, field: value}
+    message = re.escape(f"{field} must be an integer in [0, 2**64), got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RngStream(**ids)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        split(ids["seed"], ids["stream_id"])
 
 
 # -- block generation against the scalar formula ------------------------------

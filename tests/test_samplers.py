@@ -961,7 +961,7 @@ class TestRunChain:
         ],
     )
     def test_bad_seed_or_chain_id_rejected(self, field, value):
-        # RngStream masks to 64 bits, so seed 2**64 would run seed 0's chain
+        # the stream rejects a seed outside [0, 2**64) itself; run_chain names a bad chain_id
         ids = {"seed": 1, "chain_id": 0, field: value}
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer in [0, 2**64), got {value!r}")):
             run_chain({"name": "mala", "eps": 0.5}, NORMAL1, 10, 0, [0.0], ids["seed"], ids["chain_id"])
@@ -970,6 +970,17 @@ class TestRunChain:
     def test_non_finite_init_rejected(self, bad):
         with pytest.raises(ValueError, match=re.escape(f"init element must be a finite number, got {bad!r}")):
             run_chain({"name": "mala", "eps": 0.5}, NORMAL2, 10, 0, [bad, 0.0], 1, 0)
+
+    def test_init_of_the_wrong_length_rejected_before_sampling(self):
+        # a custom target need not check a point's length, so the init's is
+        # checked before the target sees it; unchecked, a target whose
+        # gradient follows the point runs a 3-d chain
+        target = FlatTarget(2)
+        points = []
+        target.log_density = lambda point: points.append(point) or 0.0
+        with pytest.raises(ValueError, match=re.escape("init has shape (3,), the target expects (2,)")):
+            run_chain({"name": "mala", "eps": 0.5}, target, 10, 0, [0.0, 0.0, 0.0], 1, 0)
+        assert points == []
 
     def test_peak_memory_is_one_sample_matrix(self):
         # a kept step copies its point into the n x d samples and nothing

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -559,6 +560,21 @@ class TestRegistry:
         with pytest.raises(ValueError, match=f"^{message}, got ") as info:
             make_target("gauss_mix", {"components": [first, {"weight": 0.5, **component}]})
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "components,message",
+        [
+            # unchecked, the keys or characters are read as components, or iteration fails
+            ({"weight": 1}, "gauss_mix field 'components' must be a list of JSON objects, got {'weight': 1}"),
+            ("mean", "gauss_mix field 'components' must be a list of JSON objects, got 'mean'"),
+            (5, "gauss_mix field 'components' must be a list of JSON objects, got 5"),
+            ([[1.0, [0.0], [1.0]]], "gauss_mix component 0 must be a JSON object, got [1.0, [0.0], [1.0]]"),
+        ],
+        ids=["object", "string", "number", "list-component"],
+    )
+    def test_gauss_mix_components_must_be_a_list_of_objects(self, components, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_target("gauss_mix", {"components": components})
 
     def test_unknown(self):
         with pytest.raises(ValueError):
