@@ -7,7 +7,7 @@ reproducible experiments from a JSON config.
 
 The package exports what a library user needs to run and score a chain;
 everything else is importable from its submodule (amala.samplers,
-amala.adaptation, amala.rng, amala.targets, amala.diagnostics, amala.cli).
+amala.rng, amala.targets, amala.diagnostics, amala.cli).
 """
 
 from .diagnostics import build_report

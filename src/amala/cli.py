@@ -29,7 +29,7 @@ import numpy as np
 from .diagnostics import build_report, histogram2d
 from .rng import uint64
 from .samplers import check_init, make_sampler, run_chain
-from .targets import GaussianMixture, ParticleBox2D, integer_at_least, make_target
+from .targets import GaussianMixture, ParticleBox2D, check_dataclass_fields, integer_at_least, make_target
 
 
 @dataclass
@@ -71,10 +71,13 @@ class ExperimentConfig:
 def load_config(path, seed=None, out=None) -> ExperimentConfig:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     if seed is not None:
         raw["seed"] = seed
     if out is not None:
         raw["outputs"] = out
+    check_dataclass_fields(raw, "config", ExperimentConfig)
     return ExperimentConfig(**raw)
 
 

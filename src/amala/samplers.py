@@ -7,7 +7,7 @@ proposal slots. The Langevin pair also share one proposal
 (langevin_propose): isotropic Gaussians N(theta + (eps^2/2) grad, scale * I),
 MALA with the fixed scale eps^2 and the adaptive sampler with a fresh
 stochastic scale drawn each step from the trajectory history. That history
-(the last scale and the norms of the last two points) belongs to the
+(the last scale and the norms of the previous point) belongs to the
 adaptive kernel: AdaptiveSampler.step is its only writer, and MALA and HMC
 states carry none of it.
 
@@ -37,9 +37,24 @@ from typing import Mapping
 
 import numpy as np
 
-from .adaptation import norm, sigma_update
 from .rng import RngStream, split, uint64
-from .targets import NEG_INF, TargetDensity, finite_real, finite_vector, integer_at_least
+from .targets import NEG_INF, TargetDensity, check_dataclass_fields, finite_real, finite_vector, integer_at_least
+
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+# floor of the norm-ratio denominators and of the base before its power
+NORM_FLOOR = 1e-12
+BASE_FLOOR = 1e-12
+
+
+def norm(v) -> float:
+    """Euclidean norm of a sequence of floats: the square root of its squares
+    summed left to right. The bits depend on neither the CPU nor the Python
+    version: a BLAS dot product's would depend on the kernel the CPU
+    selects, and math.hypot's on the Python version."""
+    total = 0.0
+    for x in v:
+        total += x * x
+    return math.sqrt(total)
 
 
 @dataclass
@@ -47,18 +62,16 @@ class ChainState:
     """Current chain position with its cached target values.
 
     No step changes the theta or grad list of a state it is given.
-    sigma, norms and norms_prev are the adaptive kernel's history, written
-    by AdaptiveSampler.step alone and None in every MALA and HMC state:
-    sigma is the scale of the last adaptive proposal, norms the pair
-    (|theta|, |grad|) of this point (None until the kernel has computed it)
-    and norms_prev that of the point the last step started from.
+    sigma and norms_prev are the adaptive kernel's history, written by
+    AdaptiveSampler.step alone and None in every MALA and HMC state: sigma
+    is the scale of the last adaptive proposal and norms_prev the pair
+    (|theta|, |grad|) of the point the last step started from.
     """
 
     theta: list[float]
     log_p: float
     grad: list[float]
     sigma: float | None = None
-    norms: tuple[float, float] | None = None
     norms_prev: tuple[float, float] | None = None
 
 
@@ -227,15 +240,54 @@ class MalaSampler:
         return mh_accept(state, prop, stream)
 
 
+def sigma_update(
+    theta_norm: float,
+    theta_norm_prev: float,
+    grad_norm: float,
+    grad_norm_prev: float,
+    sigma_prev: float,
+    params: "AdaptiveSampler",
+    stream: RngStream,
+) -> float:
+    """Next proposal scale (the formula in AdaptiveSampler) from the
+    Euclidean norms, by norm, of the last two points and gradients; params
+    is the AdaptiveSampler whose eps, beta and xi enter the update.
+
+    Strictly positive and finite for finite inputs; when the position and
+    gradient norm ratios agree (r_theta == r_grad) the psi draw multiplies
+    zero and the output is deterministic. A NaN anywhere in the history makes
+    a norm ratio NaN and raises ValueError.
+    """
+    r_theta = (theta_norm / max(theta_norm_prev, NORM_FLOOR)) ** 2
+    r_grad = (grad_norm / max(grad_norm_prev, NORM_FLOOR)) ** 2
+    if math.isnan(r_theta) or math.isnan(r_grad):
+        raise ValueError("NaN in the chain history")
+    psi = stream.next_uniform() * (SQRT_2PI + sigma_prev)
+    base = params.beta + psi * (r_theta - r_grad)
+    clamped = max(base, BASE_FLOOR)
+    return params.eps * clamped**params.xi / (1.0 + math.exp(-r_grad))
+
+
 @dataclass
 class AdaptiveSampler(MalaSampler):
-    """Langevin sampler with the stochastic history-driven proposal scale.
+    """Langevin sampler with the stochastic history-driven proposal scale,
+    a scalar multiple of the identity recomputed each step by sigma_update:
 
-    eps doubles as the Langevin step size; beta and xi shape the scale
-    update (see amala.adaptation). Step 0 has no previous point, so it uses
-    the MALA scale eps^2; adaptation starts at step 1 and consumes one
-    uniform (psi) before the proposal. Each step records its scale and the
-    norms of its point in the next state, the chain's only history.
+        r_theta = (|theta_n| / |theta_{n-1}|)^2
+        r_grad  = (|grad_n|  / |grad_{n-1}|)^2
+        psi     ~ Uniform[0, sqrt(2*pi) + sigma_n]
+        sigma   = eps * max(beta + psi * (r_theta - r_grad), floor)^xi
+                  / (1 + exp(-r_grad))
+
+    Both ratios are ratios of Euclidean norms with a floored denominator, so
+    the update is defined for every finite history, including zero vectors.
+    The base is floored before the fractional power (a negative base has no
+    real power), which also guarantees a strictly positive output.
+
+    eps doubles as the Langevin step size. Step 0 has no previous point, so
+    it uses the MALA scale eps^2; adaptation starts at step 1 and consumes
+    one uniform (psi) before the proposal. Each step records its scale and
+    the norms of its start point in the next state, the chain's only history.
     """
 
     name = "adaptive"
@@ -249,20 +301,18 @@ class AdaptiveSampler(MalaSampler):
             raise ValueError("xi must lie in (0, 1)")
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
-        norms = state.norms or (norm(state.theta), norm(state.grad))
+        norms = (norm(state.theta), norm(state.grad))
         prev = state.norms_prev
         if prev is None:
             scale = self.eps * self.eps
         else:
+            # a module global, so perfbench's tracer can wrap it
             scale = sigma_update(norms[0], prev[0], norms[1], prev[1], state.sigma, self, stream)
         prop = langevin_propose(state, target, self.eps, scale, stream)
         new, accepted = mh_accept(state, prop, stream)
         # history shifts forward on accept and reject alike, so repeated
-        # rejection drives the norm ratios to 1 and shrinks the scale; a
-        # rejected step stays at its point and keeps its norms
+        # rejection drives the norm ratios to 1 and shrinks the scale
         new.sigma, new.norms_prev = scale, norms
-        if not accepted:
-            new.norms = norms
         return new, accepted
 
 
@@ -306,11 +356,12 @@ _SAMPLERS = {cls.name: cls for cls in (MalaSampler, AdaptiveSampler, HmcSampler)
 
 def make_sampler(cfg: Mapping):
     """Build a sampler from its config block: 'name' picks the class and
-    every other key is one of its keyword arguments."""
+    every other key is one of its fields."""
     cfg = dict(cfg)
     name = cfg.pop("name", None)
     if not isinstance(name, str) or name not in _SAMPLERS:
         raise ValueError(f"unknown sampler: {name!r}")
+    check_dataclass_fields(cfg, f"{name} sampler", _SAMPLERS[name])
     return _SAMPLERS[name](**cfg)
 
 

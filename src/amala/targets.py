@@ -7,6 +7,7 @@ Metropolis-Hastings step rejects such proposals naturally.
 
 import math
 import struct
+from dataclasses import MISSING, fields
 from numbers import Real
 from operator import mul, sub, truediv
 
@@ -299,6 +300,14 @@ def _check_fields(block: dict, what: str, required: tuple, optional: tuple = ())
     for key in block:
         if key not in required and key not in optional:
             raise ValueError(f"{what} has unknown field {key!r}")
+
+
+def check_dataclass_fields(block: dict, what: str, cls) -> None:
+    """_check_fields for the keyword arguments of dataclass cls: a field
+    with no default is required."""
+    names = tuple(f.name for f in fields(cls))
+    required = tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+    _check_fields(block, what, required, names)
 
 
 def make_target(name: str, params: dict) -> TargetDensity:

@@ -6,15 +6,15 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from amala.adaptation import (
+from amala.rng import RngStream, split
+from amala.samplers import (
     BASE_FLOOR,
     NORM_FLOOR,
     SQRT_2PI,
+    AdaptiveSampler,
     norm,
     sigma_update,
 )
-from amala.rng import RngStream, split
-from amala.samplers import AdaptiveSampler
 
 getcontext().prec = 60
 
@@ -222,8 +222,7 @@ class TestSigmaUpdate:
         # python -O strips asserts; the NaN check must survive it
         code = (
             "import math\n"
-            "from amala.adaptation import sigma_update\n"
-            "from amala.samplers import AdaptiveSampler\n"
+            "from amala.samplers import AdaptiveSampler, sigma_update\n"
             "from amala.rng import split\n"
             "try:\n"
             "    sigma_update(math.nan, 1.0, 1.0, 1.0, 0.5, AdaptiveSampler(eps=0.1), split(1, 0))\n"

@@ -74,6 +74,20 @@ class TestConfig:
         assert cfg.seed == 99
         assert cfg.outputs == str(tmp_path / "b")
 
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ({**base_config(), "foo": 1}, "config has unknown field 'foo'"),
+            ({k: v for k, v in base_config().items() if k != "n"}, "config is missing field 'n'"),
+        ],
+        ids=["unknown", "missing"],
+    )
+    def test_top_level_field_errors_name_the_field(self, tmp_path, raw, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_config(path)
+
     def test_defaults(self, tmp_path):
         raw = base_config()
         for key in ("burn_in", "chains", "seed", "init", "outputs", "grid_res", "max_lag"):
@@ -498,6 +512,19 @@ class TestMain:
         assert err.startswith("error:") and err.count("\n") == 1
         assert repr(field) in err or err.startswith(f"error: {field} ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "raw,flags",
+        [([base_config()], []), ([base_config()], ["--out", "o"]), ("cfg.json", ["--seed", "3"])],
+        ids=["list", "list-out", "string-seed"],
+    )
+    def test_config_that_is_not_an_object_exits_before_output(self, tmp_path, monkeypatch, capsys, raw, flags):
+        # one error whichever override would have touched the config first
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        assert main(["run", "--config", "cfg.json", *flags]) == 1
+        assert capsys.readouterr().err == f"error: config must be a JSON object, got {type(raw).__name__}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_chain_that_never_moves_completes(self, tmp_path):
         # every proposal at eps 500 leaves the box, so the chain stays at its start

@@ -14,7 +14,6 @@ from scipy import stats
 
 import amala
 from amala import samplers
-from amala.adaptation import norm, sigma_update
 from amala.rng import RngStream, split
 from amala.samplers import (
     AdaptiveSampler,
@@ -28,7 +27,9 @@ from amala.samplers import (
     log_accept_ratio,
     make_sampler,
     mh_accept,
+    norm,
     run_chain,
+    sigma_update,
 )
 from amala.targets import NEG_INF, GaussianMixture, ParticleBox2D, TargetDensity, standard_normal
 
@@ -286,23 +287,19 @@ class TestAdaptivePropose:
             pytest.param(standard_normal(100), [0.0] * 100, 0.75, id="normal100"),
         ],
     )
-    def test_carried_norms_are_the_points_norms(self, target, init, eps):
-        # the kernel carries each point's norms from step to step instead of
-        # computing them again; they must be the norms of the points it holds,
-        # and norms_prev those of the point the step started from, on accept
-        # and reject alike
+    def test_norms_prev_are_the_start_points_norms(self, target, init, eps):
+        # norms_prev holds the norms of the point the step started from, on
+        # accept and reject alike
         sampler = AdaptiveSampler(eps=eps)
         state = init_state(target, init)
         stream = split(3, 0)
-        carried = 0
+        outcomes = set()
         for _ in range(301):
-            new, _ = sampler.step(state, target, stream)
+            new, accepted = sampler.step(state, target, stream)
             assert new.norms_prev == (norm(state.theta), norm(state.grad))
-            if new.norms is not None:
-                carried += 1
-                assert new.norms == (norm(new.theta), norm(new.grad))
+            outcomes.add(accepted)
             state = new
-        assert carried > 0
+        assert outcomes == {True, False}
 
 
 class TestProposeOracle:
@@ -402,7 +399,7 @@ class TestMhAccept:
         new, accepted = mh_accept(state, prop, split(2, 0))
         assert not accepted
         assert new.theta[0] == 0.2
-        assert (new.sigma, new.norms, new.norms_prev) == (None, None, None)
+        assert (new.sigma, new.norms_prev) == (None, None)
         # the history is the adaptive kernel's: a rejected adaptive step stays
         # at its point, shifts the point's norms into norms_prev and records
         # its scale, here step 0's eps^2
@@ -411,7 +408,7 @@ class TestMhAccept:
         new, accepted = sampler.step(state, NORMAL1, split(seed, 0))
         assert not accepted
         assert new.theta[0] == 0.2
-        assert new.norms_prev == new.norms == (norm(state.theta), norm(state.grad))
+        assert new.norms_prev == (norm(state.theta), norm(state.grad))
         assert new.sigma == 9.0
 
     @pytest.mark.parametrize(
@@ -428,7 +425,7 @@ class TestMhAccept:
         for _ in range(200):
             state, accepted = sampler.step(state, BOX22, stream)
             outcomes.add(accepted)
-            assert (state.sigma, state.norms, state.norms_prev) == (None, None, None)
+            assert (state.sigma, state.norms_prev) == (None, None)
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("target,points", [
@@ -796,6 +793,10 @@ class TestInvariance:
         "block",
         [
             pytest.param({"name": "mala", "eps": 1.0}, id="mala"),
+            # passes at seed 1 (E[x] z = 3.20, -0.78; E[x^2] z = 3.95, -2.79),
+            # yet the gate does not resolve this kernel's bias here: see
+            # test_second_moment_of_standard_normal for the case that does
+            pytest.param({"name": "adaptive", "eps": 1.0}, id="adaptive"),
             pytest.param({"name": "hmc", "eps_leap": 0.3, "n_leap": 5}, id="hmc"),
         ],
     )
@@ -890,8 +891,14 @@ class TestRunChain:
         ],
     )
     def test_unknown_field_rejected(self, cfg):
-        with pytest.raises(TypeError, match="unexpected keyword"):
+        field = list(cfg)[-1]  # each block's last key is the unknown one
+        with pytest.raises(ValueError, match=f"^{cfg['name']} sampler has unknown field '{field}'$"):
             make_sampler(cfg)
+
+    @pytest.mark.parametrize("name", ["mala", "adaptive"])
+    def test_missing_field_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} sampler is missing field 'eps'$"):
+            make_sampler({"name": name})
 
     def test_full_adaptation_block_round_trips(self):
         sampler = make_sampler({"name": "adaptive", "eps": 0.2, "beta": 1.4, "xi": 0.3})
