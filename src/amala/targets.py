@@ -8,6 +8,7 @@ Metropolis-Hastings step rejects such proposals naturally.
 import math
 import struct
 from dataclasses import MISSING, fields
+from math import cos, log, pi, sin
 from numbers import Real
 from operator import mul, sub, truediv
 
@@ -59,10 +60,12 @@ class TargetDensity:
     built-in targets do) or numpy vector, and raises ``ValueError`` exactly
     where ``log_density`` is -inf. HMC's leapfrog relies on that: it
     evaluates only the gradient along a trajectory and treats the
-    ``ValueError`` as a divergence. Leapfrog passes its own working position
-    list and changes it after the call, so a target must not keep the point.
-    It may memoize by value: results kept under a copy of the point's
-    float64 bytes are safe, as the caller's object is never read again.
+    ``ValueError`` as a divergence. Both built-in targets derive the two
+    from one evaluation of the point, so they agree by construction.
+    Leapfrog passes its own working position list and changes it after the
+    call, so a target must not keep the point. It may memoize by value:
+    results kept under a copy of the point's float64 bytes are safe, as the
+    caller's object is never read again.
     """
 
     dim = 0
@@ -84,7 +87,8 @@ class ParticleBox2D(TargetDensity):
 
     The log-gradient components diverge like cot near nodal lines, so each
     is clamped to [-gmax, gmax]; clamping preserves direction and keeps the
-    Euler proposal finite.
+    Euler proposal finite. Both methods take the point through ``_phases``,
+    so the gradient raises exactly where the log density is -inf.
     """
 
     dim = 2
@@ -92,56 +96,51 @@ class ParticleBox2D(TargetDensity):
     def __init__(self, lx: float, ly: float, nx: int, ny: int, gmax: float = 1e6):
         if finite_real(lx, "Lx") <= 0 or finite_real(ly, "Ly") <= 0:
             raise ValueError("box side lengths must be positive")
-        for value, what in ((nx, "nx"), (ny, "ny")):
-            if finite_real(value, what) < 1 or value != int(value):
-                raise ValueError("quantum numbers must be integers >= 1")
+        integer_at_least(nx, "nx", 1)
+        integer_at_least(ny, "ny", 1)
         if finite_real(gmax, "gmax") <= 0:
             raise ValueError("gmax must be positive")
         self.lx = float(lx)
         self.ly = float(ly)
-        self.nx = int(nx)
-        self.ny = int(ny)
+        self.nx = nx
+        self.ny = ny
         self.gmax = float(gmax)
         self._log_norm = math.log(4.0 / (self.lx * self.ly))
         # d/dx log sin^2(n pi x / L) = (2 n pi / L) cot(n pi x / L), per axis
         self._kx = 2.0 * (self.nx * math.pi / self.lx)
         self._ky = 2.0 * (self.ny * math.pi / self.ly)
 
-    def log_density(self, point) -> float:
+    def _phases(self, point):
+        """(pi*nx*x/Lx, pi*ny*y/Ly) where the density is positive, else None."""
         x, y = point
-        x = float(x)
-        y = float(y)
+        x, y = float(x), float(y)
         # negated, so that a NaN coordinate is outside the box too
         if not (x > 0.0 and x < self.lx and y > 0.0 and y < self.ly):
-            return NEG_INF
+            return None
         # integer scaled coordinates (nx*x/Lx, ny*y/Ly), the box walls
         # included, are exactly where a factor sin(pi*t) vanishes: any other
         # pi*t is a positive double (pi*5e-324 is 1.5e-323), never a multiple of pi
         tx = self.nx * x / self.lx
         ty = self.ny * y / self.ly
-        if tx == math.floor(tx) or ty == math.floor(ty):
+        if tx.is_integer() or ty.is_integer():
+            return None
+        return pi * tx, pi * ty
+
+    def log_density(self, point) -> float:
+        phases = self._phases(point)
+        if phases is None:
             return NEG_INF
-        sx = math.sin(math.pi * tx)
-        sy = math.sin(math.pi * ty)
-        return self._log_norm + 2.0 * math.log(abs(sx)) + 2.0 * math.log(abs(sy))
+        ux, uy = phases
+        return self._log_norm + 2.0 * log(abs(sin(ux))) + 2.0 * log(abs(sin(uy)))
 
     def grad_log_density(self, point) -> list[float]:
-        x, y = point
-        x = float(x)
-        y = float(y)
-        if not (x > 0.0 and x < self.lx and y > 0.0 and y < self.ly):
+        phases = self._phases(point)
+        if phases is None:
             raise ValueError("gradient requested at a zero-density point")
-        tx = self.nx * x / self.lx
-        ty = self.ny * y / self.ly
-        if tx == math.floor(tx) or ty == math.floor(ty):
-            raise ValueError("gradient requested at a zero-density point")
-        ux = math.pi * tx
-        uy = math.pi * ty
-        sx = math.sin(ux)
-        sy = math.sin(uy)
+        ux, uy = phases
         gmax = self.gmax
-        gx = self._kx * (math.cos(ux) / sx)
-        gy = self._ky * (math.cos(uy) / sy)
+        gx = self._kx * (cos(ux) / sin(ux))
+        gy = self._ky * (cos(uy) / sin(uy))
         gx = gmax if gx > gmax else -gmax if gx < -gmax else gx
         gy = gmax if gy > gmax else -gmax if gy < -gmax else gy
         return [gx, gy]

@@ -819,6 +819,67 @@ class TestInvariance:
             assert np.all(np.abs(z) <= 4.0), f"{what} = {means.mean(axis=0)}, exact {exact}, z = {z}"
 
 
+def exact_start_z(block, dim, m=10_000, k=10):
+    """z of the mean squared final coordinate of m chains that start at exact
+    draws from standard_normal(dim) and take k steps each.
+
+    For an invariant kernel the m final states are i.i.d. exact draws, so the
+    m*dim squared coordinates have mean 1 and variance 2: the standard error
+    is sqrt(2 / (m*dim)), with no batch means or mixing assumption (the exact
+    start checks of Gandy & Scott 2020). The starts come from a stream that
+    no chain uses; chain j runs on split(1, j).
+    """
+    target = standard_normal(dim)
+    sampler = make_sampler(block)
+    starts = RngStream(1, 2**64 - 1).normals(m * dim)
+    finals = []
+    for j in range(m):
+        state = init_state(target, starts[j * dim : (j + 1) * dim])
+        stream = split(1, j)
+        for _ in range(k):
+            state = sampler.step(state, target, stream)[0]
+        finals.append(state.theta)
+    mean = float((np.array(finals) ** 2).mean())
+    return mean, (mean - 1.0) / math.sqrt(2.0 / (m * dim))
+
+
+class TestExactStartInvariance:
+    """E[x^2] on standard_normal(d) after 10 steps from 10,000 exact starts,
+    within 4 standard errors of 1 (see exact_start_z)."""
+
+    @pytest.mark.parametrize(
+        "block,dim",
+        [
+            pytest.param({"name": "mala", "eps": 1.0}, 2, id="mala"),
+            pytest.param(
+                {"name": "adaptive", "eps": 1.0},
+                2,
+                id="adaptive",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the adaptive kernel is not invariant: E[x^2] = 0.940 +- 0.010 (z = -5.96) "
+                    "at eps=1, seed 1; its reverse density reuses the forward scale",
+                ),
+            ),
+            pytest.param({"name": "hmc", "eps_leap": 0.3, "n_leap": 5}, 2, id="hmc"),
+            pytest.param({"name": "mala", "eps": 0.8}, 8, id="mala-d8"),
+            pytest.param(
+                {"name": "adaptive", "eps": 1.13},
+                8,
+                id="adaptive-d8",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the adaptive kernel is not invariant: E[x^2] = 0.956 +- 0.005 (z = -8.75) "
+                    "at eps=1.13, seed 1; its reverse density reuses the forward scale",
+                ),
+            ),
+        ],
+    )
+    def test_second_moment_of_standard_normal(self, block, dim):
+        mean, z = exact_start_z(block, dim)
+        assert abs(z) <= 4.0, f"E[x^2] = {mean:.4f}, z = {z:.2f}"
+
+
 class TestRunChain:
     def test_deterministic_replay(self):
         cfg = {"name": "mala", "eps": 0.5}

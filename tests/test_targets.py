@@ -169,9 +169,13 @@ class TestBoxValidation:
         with pytest.raises(ValueError):
             ParticleBox2D(0.0, 1.0, 1, 1)
 
-    def test_bad_quantum_numbers(self):
-        with pytest.raises(ValueError):
-            ParticleBox2D(1.0, 1.0, 0, 1)
+    @pytest.mark.parametrize("field", ["nx", "ny"])
+    @pytest.mark.parametrize("value", [0, 2.0, 2.5, True, "2"])
+    def test_bad_quantum_numbers(self, field, value):
+        # the package's one integer rule, as for n_leap: a whole float is no integer
+        numbers = {"nx": 2, "ny": 2, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1, got {re.escape(repr(value))}$"):
+            ParticleBox2D(1.0, 1.0, numbers["nx"], numbers["ny"])
 
     def test_mode_centers(self):
         np.testing.assert_allclose(BOX22.mode_centers()[0], [0.25, 0.25])
