@@ -244,7 +244,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
             results = list(pool.map(job, jobs))
     else:
         results = [job(args) for args in jobs]
-    is_box = isinstance(target, ParticleBox2D)
 
     hashed: dict[str, str] = {}
     reports: list[str] = []
@@ -254,7 +253,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
         reports.append(diag_name)
         by_sampler.setdefault(sampler, []).append(report)
 
-    if is_box:
+    if isinstance(target, ParticleBox2D):
         grid_path = out_dir / "target_grid.csv"
         _write_grid_csv(grid_path, target.analytic_grid(config.grid_res))
         hashed[grid_path.name] = _sha256(grid_path)
@@ -269,8 +268,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
         "files": dict(sorted(hashed.items())),
         "reports": sorted(reports),
     }
-    if is_box:
-        manifest["target_energy"] = target.energy()
     _write_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .targets import NEG_INF, ParticleBox2D, TargetDensity
+from .targets import NEG_INF, ParticleBox2D, TargetDensity, integer_at_least
 
 
 def autocorrelation(series, max_lag: int) -> np.ndarray:
@@ -23,6 +23,7 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     BLAS call, so it wakes no BLAS thread beside a serial run. It is centred
     into half of one zeroed 2n buffer, so rfft makes no zero-padded copy.
     """
+    integer_at_least(max_lag, "max_lag", 0)
     x = np.asarray(series, dtype=float)
     n = x.shape[0]
     if n < 2:
@@ -61,22 +62,26 @@ def _ess_from_acf(rho: np.ndarray) -> float:
     return float(min(n, n / denom))
 
 
-def histogram2d(samples, box: ParticleBox2D, res: int) -> np.ndarray:
-    """Normalized res x res counts over the box, same layout as analytic_grid.
-
-    A sample outside the box violates the chain invariant (the chain can
-    never occupy a zero-density point) and raises.
+def _box_cells(pts: np.ndarray, box: ParticleBox2D, kx: int, ky: int) -> np.ndarray:
+    """Flat x-major index of each sample's cell in the kx x ky partition of
+    the box, analytic_grid's layout. A sample outside the box violates the
+    chain invariant (the chain can never occupy a zero-density point) and raises.
     """
-    if res < 2:
-        raise ValueError("grid resolution must be at least 2")
+    ix = np.floor(pts[:, 0] / box.lx * kx).astype(int)
+    iy = np.floor(pts[:, 1] / box.ly * ky).astype(int)
+    if np.any((ix < 0) | (ix >= kx) | (iy < 0) | (iy >= ky)):
+        raise ValueError("sample outside the box: chain invariant violated")
+    return ix * ky + iy
+
+
+def histogram2d(samples, box: ParticleBox2D, res: int) -> np.ndarray:
+    """Normalized res x res counts over the box, same layout as analytic_grid;
+    a sample outside the box raises."""
+    integer_at_least(res, "grid_res", 2)
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError("samples must be a nonempty n x 2 matrix")
-    ix = np.floor(pts[:, 0] / box.lx * res).astype(int)
-    iy = np.floor(pts[:, 1] / box.ly * res).astype(int)
-    if np.any((ix < 0) | (ix >= res) | (iy < 0) | (iy >= res)):
-        raise ValueError("sample outside the box: chain invariant violated")
-    counts = np.bincount(ix * res + iy, minlength=res * res).reshape(res, res)
+    counts = np.bincount(_box_cells(pts, box, res, res), minlength=res * res).reshape(res, res)
     return counts / pts.shape[0]
 
 
@@ -97,15 +102,13 @@ def mode_coverage(samples, box: ParticleBox2D) -> float:
 
     Basins are the uniform nx x ny partition of the box; for the squared
     eigenfunction density the nodal lines are exactly the basin boundaries.
+    A sample outside the box raises.
     """
     pts = np.asarray(samples, dtype=float)
     n_basins = box.nx * box.ny
     if pts.size == 0:
         return 0.0
-    bx = np.floor(pts[:, 0] / box.lx * box.nx).astype(int)
-    by = np.floor(pts[:, 1] / box.ly * box.ny).astype(int)
-    inside = (bx >= 0) & (bx < box.nx) & (by >= 0) & (by < box.ny)
-    counts = np.bincount(bx[inside] * box.ny + by[inside], minlength=n_basins)
+    counts = np.bincount(_box_cells(pts, box, box.nx, box.ny), minlength=n_basins)
     threshold = math.ceil(0.01 * pts.shape[0] / n_basins)
     return float((counts >= threshold).sum() / n_basins)
 
@@ -139,6 +142,7 @@ def build_report(chain, target: TargetDensity, grid_res: int = 32, max_lag: int 
 
     A dimension in which the chain never moved has ACF 1 at every lag.
     """
+    integer_at_least(max_lag, "max_lag", 0)
     samples = chain.samples
     n, d = samples.shape
     if np.any(chain.log_ps == NEG_INF):

@@ -88,20 +88,21 @@ class ParticleBox2D(TargetDensity):
     The log-gradient components diverge like cot near nodal lines, so each
     is clamped to [-gmax, gmax]; clamping preserves direction and keeps the
     Euler proposal finite. Both methods take the point through ``_phases``,
-    so the gradient raises exactly where the log density is -inf.
+    so the gradient raises exactly where the log density is -inf. The
+    keyword arguments are the fields of a "particle_box" config block.
     """
 
     dim = 2
 
-    def __init__(self, lx: float, ly: float, nx: int, ny: int, gmax: float = 1e6):
-        if finite_real(lx, "Lx") <= 0 or finite_real(ly, "Ly") <= 0:
+    def __init__(self, Lx: float, Ly: float, nx: int, ny: int, gmax: float = 1e6):
+        if finite_real(Lx, "Lx") <= 0 or finite_real(Ly, "Ly") <= 0:
             raise ValueError("box side lengths must be positive")
         integer_at_least(nx, "nx", 1)
         integer_at_least(ny, "ny", 1)
         if finite_real(gmax, "gmax") <= 0:
             raise ValueError("gmax must be positive")
-        self.lx = float(lx)
-        self.ly = float(ly)
+        self.lx = float(Lx)
+        self.ly = float(Ly)
         self.nx = nx
         self.ny = ny
         self.gmax = float(gmax)
@@ -145,11 +146,6 @@ class ParticleBox2D(TargetDensity):
         gy = gmax if gy > gmax else -gmax if gy < -gmax else gy
         return [gx, gy]
 
-    def energy(self) -> float:
-        """Energy of the (nx, ny) eigenstate in model units (hbar = m = rho = 1),
-        (nx^2/Lx^2 + ny^2/Ly^2) / 2; reporting metadata only."""
-        return 0.5 * (self.nx**2 / self.lx**2 + self.ny**2 / self.ly**2)
-
     def _axis_cell_masses(self, n: int, length: float, res: int) -> np.ndarray:
         # exact integral of (2/L) sin^2(n pi x / L) over each cell
         a = n * math.pi / length
@@ -169,8 +165,7 @@ class ParticleBox2D(TargetDensity):
         y strip. The density factorizes per axis, so cells are products of
         closed-form sin^2 integrals and the grid sums to 1 up to rounding.
         """
-        if res < 2:
-            raise ValueError("grid resolution must be at least 2")
+        integer_at_least(res, "grid_res", 2)
         mx = self._axis_cell_masses(self.nx, self.lx, res)
         my = self._axis_cell_masses(self.ny, self.ly, res)
         return np.outer(mx, my)
@@ -313,7 +308,7 @@ def make_target(name: str, params: dict) -> TargetDensity:
     """Build a target from its config block (the "name" field is optional)."""
     if name == "particle_box":
         _check_fields(params, "particle_box target", ("Lx", "Ly", "nx", "ny"), ("name", "gmax"))
-        return ParticleBox2D(params["Lx"], params["Ly"], params["nx"], params["ny"], params.get("gmax", 1e6))
+        return ParticleBox2D(**{key: value for key, value in params.items() if key != "name"})
     if name == "gauss_mix":
         _check_fields(params, "gauss_mix target", ("components",), ("name",))
         components = params["components"]

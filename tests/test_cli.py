@@ -180,7 +180,7 @@ class TestConfig:
         )
         man_edited, man_built = run_experiment(edited), run_experiment(built)
         assert man_edited["files"] == man_built["files"]
-        assert man_edited["target_energy"] == man_built["target_energy"] == 1.0
+        assert man_edited["config"]["target"]["nx"] == 1
         assert man_edited["config"]["target"] == man_built["config"]["target"]
 
     @pytest.mark.parametrize(
@@ -228,6 +228,7 @@ class TestRunExperiment:
         assert set(manifest["files"]) == expected - {"manifest.json"} - set(manifest["reports"])
         assert sorted(manifest["reports"]) == manifest["reports"]
         assert "comparison.csv" in manifest["reports"]
+        assert "target_energy" not in manifest
 
     def test_single_sampler_run_writes_one_comparison_row(self, tmp_path):
         cfg = ExperimentConfig(

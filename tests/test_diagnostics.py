@@ -128,6 +128,12 @@ class TestAutocorrelation:
         with pytest.raises(ValueError):
             autocorrelation([1.0, 2.0, 3.0], 3)
 
+    @pytest.mark.parametrize("max_lag", [2.5, True], ids=["float", "bool"])
+    def test_non_integer_max_lag_rejected(self, max_lag):
+        # the package's one integer rule: 2.5 used to fail in slicing, True to give 2 lags
+        with pytest.raises(ValueError, match=rf"^max_lag must be an integer >= 0, got {max_lag!r}$"):
+            autocorrelation([1.0, 2.0, 4.0, 3.0], max_lag)
+
 
 class TestEss:
     def test_iid_close_to_n(self):
@@ -183,6 +189,10 @@ class TestHistogram2d:
     def test_out_of_box_sample_rejected(self):
         with pytest.raises(ValueError):
             histogram2d(np.array([[1.5, 0.5]]), BOX22, 4)
+
+    def test_whole_float_res_rejected(self):
+        with pytest.raises(ValueError, match=r"^grid_res must be an integer >= 2, got 4\.0$"):
+            histogram2d(np.array([[0.25, 0.25]]), BOX22, 4.0)
 
     def test_convergence_with_sample_size(self):
         grid = BOX22.analytic_grid(32)
@@ -242,6 +252,12 @@ class TestModeCoverage:
         # 1 of 1000 samples in a second basin is below the 1% fair-share cut
         samples = np.vstack([np.tile([0.2, 0.2], (999, 1)), [[0.75, 0.75]]])
         assert mode_coverage(samples, BOX22) == 0.25
+
+    def test_out_of_box_sample_rejected(self):
+        # the partition histogram2d uses; a sample outside the box was dropped before
+        samples = np.vstack([np.tile([0.2, 0.2], (99, 1)), [[1.5, 0.5]]])
+        with pytest.raises(ValueError, match="^sample outside the box: chain invariant violated$"):
+            mode_coverage(samples, BOX22)
 
 
 class TestEmpiricalFisher:
@@ -336,6 +352,13 @@ class TestBuildReport:
         chain = run_chain({"name": "mala", "eps": 0.1}, BOX22, 1, 0, [0.25, 0.25], 1, 0)
         with pytest.raises(ValueError, match="at least 2 samples"):
             build_report(chain, BOX22)
+
+    @pytest.mark.parametrize("max_lag", [20.0, -3], ids=["float", "negative"])
+    def test_bad_max_lag_rejected(self, max_lag):
+        # these used to raise numpy's TypeError and "negative dimensions are not allowed"
+        chain = run_chain({"name": "mala", "eps": 0.1}, BOX22, 50, 0, [0.25, 0.25], 1, 0)
+        with pytest.raises(ValueError, match=rf"^max_lag must be an integer >= 0, got {max_lag!r}$"):
+            build_report(chain, BOX22, max_lag=max_lag)
 
     @pytest.mark.parametrize(
         "cfg", [{"name": "mala", "eps": 500.0}, {"name": "hmc", "eps_leap": 1e-300, "n_leap": 2}]

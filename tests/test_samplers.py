@@ -32,6 +32,7 @@ from amala.samplers import (
     sigma_update,
 )
 from amala.targets import NEG_INF, GaussianMixture, ParticleBox2D, TargetDensity, standard_normal
+from test_diagnostics import box_oracle_samples
 
 BOX22 = ParticleBox2D(1.0, 1.0, 2, 2)
 NORMAL1 = standard_normal(1)
@@ -819,33 +820,43 @@ class TestInvariance:
             assert np.all(np.abs(z) <= 4.0), f"{what} = {means.mean(axis=0)}, exact {exact}, z = {z}"
 
 
-def exact_start_z(block, dim, m=10_000, k=10):
-    """z of the mean squared final coordinate of m chains that start at exact
-    draws from standard_normal(dim) and take k steps each.
+def exact_start_finals(block, target, starts, k=10):
+    """Final states, one row per start, of chains that take k steps of the
+    block's kernel from exact draws of the target; chain j runs on split(1, j).
 
-    For an invariant kernel the m final states are i.i.d. exact draws, so the
-    m*dim squared coordinates have mean 1 and variance 2: the standard error
-    is sqrt(2 / (m*dim)), with no batch means or mixing assumption (the exact
-    start checks of Gandy & Scott 2020). The starts come from a stream that
-    no chain uses; chain j runs on split(1, j).
+    For an invariant kernel the final states are i.i.d. exact draws too, so
+    a moment's plain i.i.d. standard error holds, with no batch means or
+    mixing assumption (the exact start checks of Gandy & Scott 2020).
     """
-    target = standard_normal(dim)
     sampler = make_sampler(block)
-    starts = RngStream(1, 2**64 - 1).normals(m * dim)
     finals = []
-    for j in range(m):
-        state = init_state(target, starts[j * dim : (j + 1) * dim])
+    for j, start in enumerate(starts):
+        state = init_state(target, start)
         stream = split(1, j)
         for _ in range(k):
             state = sampler.step(state, target, stream)[0]
         finals.append(state.theta)
-    mean = float((np.array(finals) ** 2).mean())
+    return np.array(finals)
+
+
+def exact_start_z(block, dim, m=10_000):
+    """z of the mean squared final coordinate of m exact-start chains on
+    standard_normal(dim) (see exact_start_finals).
+
+    The m*dim squared coordinates of exact draws have mean 1 and variance 2,
+    so the standard error is sqrt(2 / (m*dim)). The starts come from a
+    stream that no chain uses.
+    """
+    starts = RngStream(1, 2**64 - 1).normals(m * dim)
+    finals = exact_start_finals(block, standard_normal(dim), (starts[j * dim : (j + 1) * dim] for j in range(m)))
+    mean = float((finals**2).mean())
     return mean, (mean - 1.0) / math.sqrt(2.0 / (m * dim))
 
 
 class TestExactStartInvariance:
-    """E[x^2] on standard_normal(d) after 10 steps from 10,000 exact starts,
-    within 4 standard errors of 1 (see exact_start_z)."""
+    """Moments after 10 steps from 10,000 exact starts, each within 4
+    standard errors of its exact value: E[x^2] on standard_normal(d) (see
+    exact_start_z), and the box's coordinate moments and basin masses."""
 
     @pytest.mark.parametrize(
         "block,dim",
@@ -878,6 +889,26 @@ class TestExactStartInvariance:
     def test_second_moment_of_standard_normal(self, block, dim):
         mean, z = exact_start_z(block, dim)
         assert abs(z) <= 4.0, f"E[x^2] = {mean:.4f}, z = {z:.2f}"
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            pytest.param({"name": "mala", "eps": 0.2}, id="mala"),
+            pytest.param({"name": "hmc", "eps_leap": 0.05, "n_leap": 20}, id="hmc"),
+        ],
+    )
+    def test_box_moments_and_basin_masses(self, block):
+        # 10,000 exact starts on the (2,2) box; per axis E[x] = 1/2 and
+        # E[x^2] = 1/3 - 1/(8 pi^2), and each basin holds mass 1/4
+        starts = box_oracle_samples(BOX22, 10_000, np.random.default_rng(1))
+        finals = exact_start_finals(block, BOX22, starts)
+        basin = 2 * (finals[:, 0] >= 0.5) + (finals[:, 1] >= 0.5)
+        stats = np.column_stack([finals, finals**2] + [basin == b for b in range(4)])
+        second = 1.0 / 3.0 - 1.0 / (8.0 * math.pi**2)
+        exact = np.array([0.5, 0.5, second, second, 0.25, 0.25, 0.25, 0.25])
+        means = stats.mean(axis=0)
+        z = (means - exact) / (stats.std(axis=0, ddof=1) / math.sqrt(len(stats)))
+        assert np.all(np.abs(z) <= 4.0), f"means {means}, exact {exact}, z {z}"
 
 
 class TestRunChain:

@@ -112,24 +112,6 @@ class TestBoxGradient:
             checked += 1
 
 
-class TestBoxEnergy:
-    def test_ground_state_value(self):
-        # model units: E = (1/2)(1 + 1)
-        assert ParticleBox2D(1.0, 1.0, 1, 1).energy() == 1.0
-
-    def test_degeneracy(self):
-        a = ParticleBox2D(1.0, 1.0, 2, 1).energy()
-        b = ParticleBox2D(1.0, 1.0, 1, 2).energy()
-        assert a == pytest.approx(b)
-
-    def test_doubling_lx_quarters_x_term(self):
-        base = ParticleBox2D(1.0, 1.0, 3, 1).energy()
-        wide = ParticleBox2D(2.0, 1.0, 3, 1).energy()
-        # E = (1/2)(nx^2/Lx^2 + ny^2/Ly^2): x-term 9 -> 9/4
-        assert base == pytest.approx(0.5 * (9.0 + 1.0))
-        assert wide == pytest.approx(0.5 * (9.0 / 4.0 + 1.0))
-
-
 class TestAnalyticGrid:
     @pytest.mark.parametrize("spec", [(1.0, 1.0, 1, 1), (2.0, 0.5, 2, 3), (1.0, 1.0, 4, 4)])
     def test_sums_to_one(self, spec):
@@ -162,6 +144,11 @@ class TestAnalyticGrid:
     def test_res_below_two_rejected(self):
         with pytest.raises(ValueError):
             BOX11.analytic_grid(1)
+
+    def test_whole_float_res_rejected(self):
+        # the config's grid_res rule: a whole float is no integer
+        with pytest.raises(ValueError, match=r"^grid_res must be an integer >= 2, got 4\.0$"):
+            BOX11.analytic_grid(4.0)
 
 
 class TestBoxValidation:
@@ -541,6 +528,14 @@ class TestRegistry:
         assert isinstance(target, ParticleBox2D)
         assert target.ly == 2.0
         assert target.gmax == 1e6
+
+    def test_particle_box_block_is_the_constructor(self):
+        # the block's fields are ParticleBox2D's keyword arguments, gmax's default included
+        block = {"Lx": 1.0, "Ly": 1.0, "nx": 2, "ny": 2}
+        positional = ParticleBox2D(1.0, 1.0, 2, 2)
+        for box in (make_target("particle_box", {"name": "particle_box", **block}), ParticleBox2D(**block)):
+            for attr in ("lx", "ly", "nx", "ny", "gmax"):
+                assert getattr(box, attr) == getattr(positional, attr)
 
     def test_gauss_mix(self):
         target = make_target(
