@@ -264,7 +264,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
 
     manifest = {
         "config": asdict(config),
-        "seed": config.seed,
         "files": dict(sorted(hashed.items())),
         "reports": sorted(reports),
     }

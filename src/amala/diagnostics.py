@@ -14,8 +14,8 @@ import numpy as np
 from .targets import NEG_INF, ParticleBox2D, TargetDensity, integer_at_least
 
 
-def autocorrelation(series, max_lag: int) -> np.ndarray:
-    """rho(k) for k = 0..max_lag; rho(0) is exactly 1.
+def autocorrelation(series) -> np.ndarray:
+    """rho(k) for k = 0..n-1 of an n-point series; rho(0) is exactly 1.
 
     A constant series raises, found by equality since its float mean can
     round off the value; so does one whose centred sum of squares is 0.
@@ -23,13 +23,10 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     BLAS call, so it wakes no BLAS thread beside a serial run. It is centred
     into half of one zeroed 2n buffer, so rfft makes no zero-padded copy.
     """
-    integer_at_least(max_lag, "max_lag", 0)
     x = np.asarray(series, dtype=float)
     n = x.shape[0]
     if n < 2:
         raise ValueError("series must have at least 2 points")
-    if not 0 <= max_lag < n:
-        raise ValueError("max_lag must satisfy 0 <= max_lag < n")
     buf = np.zeros(2 * n)
     xc = np.subtract(x, x.mean(), out=buf[:n])
     if np.add.reduce(xc * xc) == 0.0 or np.all(x == x[0]):
@@ -39,7 +36,7 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     del buf
     power = f * np.conj(f)
     del f
-    acov = np.fft.irfft(power)[: max_lag + 1]
+    acov = np.fft.irfft(power)[:n]
     rho = acov / acov[0]
     rho[0] = 1.0
     return rho
@@ -47,7 +44,7 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
 
 def ess(series) -> float:
     """Effective sample size, clamped to (0, n]."""
-    return _ess_from_acf(autocorrelation(series, len(series) - 1))
+    return _ess_from_acf(autocorrelation(series))
 
 
 def _ess_from_acf(rho: np.ndarray) -> float:
@@ -143,6 +140,7 @@ def build_report(chain, target: TargetDensity, grid_res: int = 32, max_lag: int 
     A dimension in which the chain never moved has ACF 1 at every lag.
     """
     integer_at_least(max_lag, "max_lag", 0)
+    integer_at_least(grid_res, "grid_res", 2)
     samples = chain.samples
     n, d = samples.shape
     if np.any(chain.log_ps == NEG_INF):
@@ -155,7 +153,7 @@ def build_report(chain, target: TargetDensity, grid_res: int = 32, max_lag: int 
     ess_vec = np.empty(d)
     for j in range(d):
         column = samples[:, j]
-        rho = np.ones(n) if np.all(column == column[0]) else autocorrelation(column, n - 1)
+        rho = np.ones(n) if np.all(column == column[0]) else autocorrelation(column)
         acf[j] = rho[: acf.shape[1]]
         ess_vec[j] = _ess_from_acf(rho)
         del rho

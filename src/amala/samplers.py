@@ -232,8 +232,12 @@ class MalaSampler:
     eps: float
 
     def __post_init__(self):
-        if finite_real(self.eps, "eps") <= 0:
+        eps = finite_real(self.eps, "eps")
+        if eps <= 0:
             raise ValueError("eps must be positive")
+        # the proposal scale is eps^2, which must neither underflow nor overflow
+        if not 0.0 < eps * eps < math.inf:
+            raise ValueError(f"eps must square to a positive finite number, got {self.eps!r}")
 
     def step(self, state: ChainState, target: TargetDensity, stream: RngStream):
         prop = langevin_propose(state, target, self.eps, self.eps * self.eps, stream)
@@ -400,11 +404,5 @@ def run_chain(
         log_ps[j] = state.log_p
         accepted[j] = acc
     wall = time.perf_counter() - t0
-    meta = {
-        "sampler": sampler.name,
-        "seed": seed,
-        "chain_id": chain_id,
-        "burn_in": int(burn_in),
-        "wall_time_s": wall,
-    }
+    meta = {"sampler": sampler.name, "chain_id": chain_id, "burn_in": int(burn_in), "wall_time_s": wall}
     return Chain(samples=samples, log_ps=log_ps, accepted=accepted, meta=meta)

@@ -18,10 +18,16 @@ NEG_INF = float("-inf")
 
 
 def finite_real(value, what: str) -> float:
-    """value as a float; a bool, a non-number, NaN or infinity raises ValueError naming what."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    """value as a float; a bool, a non-number, NaN, infinity or an integer
+    too large for a float raises ValueError naming what."""
+    if not isinstance(value, bool) and isinstance(value, Real):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 def integer_at_least(value, what: str, low: int) -> None:
@@ -77,6 +83,18 @@ class TargetDensity:
         raise NotImplementedError
 
 
+def _wave_number(n: int, length: float, n_name: str, length_name: str) -> float:
+    """2 n pi / L, one axis's gradient factor; raises ValueError naming n
+    when it overflows a float."""
+    try:
+        k = 2.0 * (n * math.pi / length)
+    except OverflowError:  # n itself is too large for a float
+        k = math.inf
+    if k == math.inf:
+        raise ValueError(f"2 {n_name} pi / {length_name} overflows, got {n_name} = {n!r}, {length_name} = {length!r}")
+    return k
+
+
 class ParticleBox2D(TargetDensity):
     """Squared eigenfunction density of a particle in a 2D box.
 
@@ -106,10 +124,13 @@ class ParticleBox2D(TargetDensity):
         self.nx = nx
         self.ny = ny
         self.gmax = float(gmax)
+        area = self.lx * self.ly
+        if not 0.0 < area < math.inf or 4.0 / area == math.inf:
+            raise ValueError(f"Lx * Ly must give a finite normaliser 4 / (Lx * Ly), got Lx = {Lx!r}, Ly = {Ly!r}")
         self._log_norm = math.log(4.0 / (self.lx * self.ly))
         # d/dx log sin^2(n pi x / L) = (2 n pi / L) cot(n pi x / L), per axis
-        self._kx = 2.0 * (self.nx * math.pi / self.lx)
-        self._ky = 2.0 * (self.ny * math.pi / self.ly)
+        self._kx = _wave_number(nx, self.lx, "nx", "Lx")
+        self._ky = _wave_number(ny, self.ly, "ny", "Ly")
 
     def _phases(self, point):
         """(pi*nx*x/Lx, pi*ny*y/Ly) where the density is positive, else None."""
@@ -197,6 +218,9 @@ class GaussianMixture(TargetDensity):
     def __init__(self, components):
         if not components:
             raise ValueError("mixture needs at least one component")
+        for i, c in enumerate(components):
+            if not isinstance(c, (tuple, list)) or len(c) != 3:
+                raise ValueError(f"component {i} must be a (weight, mean, variance) triple, got {c!r}")
         weights = np.array([finite_real(c[0], f"component {i} weight") for i, c in enumerate(components)])
         means = [finite_vector(c[1], f"component {i} mean") for i, c in enumerate(components)]
         variances = [finite_vector(c[2], f"component {i} variance") for i, c in enumerate(components)]
@@ -213,7 +237,13 @@ class GaussianMixture(TargetDensity):
             raise ValueError("component weights must be positive")
         if np.any(variances <= 0):
             raise ValueError("component variances must be positive")
+        with np.errstate(over="ignore"):  # an overflowing sum raises this, not a numpy warning
+            if weights.sum() == math.inf:
+                raise ValueError(f"component weights must have a finite sum, got {weights.tolist()!r}")
         self.weights = weights / weights.sum()
+        for i, w in enumerate(self.weights.tolist()):
+            if w == 0.0:
+                raise ValueError(f"component {i} weight {weights[i].item()!r} normalizes to 0")
         self.means = means
         self.variances = variances
         self.dim = dim

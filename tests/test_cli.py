@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -86,6 +87,14 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=f"^{message}$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("name", ["mala", "adaptive"])
+    @pytest.mark.parametrize("eps", [1e-170, 1e200], ids=["square-underflows", "square-overflows"])
+    def test_eps_whose_square_is_not_positive_and_finite_rejected(self, tmp_path, name, eps):
+        path = write_config(tmp_path, samplers=[{"name": name, "eps": eps}])
+        message = f"eps must square to a positive finite number, got {eps!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_config(path)
 
     def test_defaults(self, tmp_path):
@@ -454,7 +463,8 @@ class TestMain:
         cfg_path = write_config(tmp_path, outputs=str(tmp_path / "ignored"))
         assert main(["run", "--config", str(cfg_path), "--seed", "77", "--out", str(tmp_path / "o2")]) == 0
         manifest = json.loads((tmp_path / "o2" / "manifest.json").read_text())
-        assert manifest["seed"] == 77
+        assert manifest["config"]["seed"] == 77
+        assert set(manifest) == {"config", "files", "reports"}
 
     def test_unknown_sampler_exits_nonzero(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, samplers=[{"name": "nuts"}])
@@ -504,6 +514,9 @@ class TestMain:
             ({"target": mixture(mean=[0.0, 0.0, 0.0]), "init": [0.0, 0.0]}, "component 1 mean"),
             ({"target": mixture(variance=[1.0]), "init": [0.0, 0.0]}, "component 1 variance"),
             ({"target": mixture(mean=[[0.0, 0.0]]), "init": [0.0, 0.0]}, "component 1 mean"),
+            # eps^2 underflows to 0.0: the adaptive chains' files used to be
+            # written before the run failed as a math domain error
+            ({"samplers": [{"name": "adaptive", "eps": 1e-170}, {"name": "mala", "eps": 1e-170}]}, "eps"),
         ],
     )
     def test_bad_field_exits_before_output(self, tmp_path, capsys, overrides, field):

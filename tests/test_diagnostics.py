@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,60 +80,55 @@ INEXACT_MEAN_CONSTANTS = [np.full(1001, 0.1), np.full(7, 0.7)]
 class TestAutocorrelation:
     def test_lag_zero_is_one(self):
         rng = np.random.default_rng(0)
-        rho = autocorrelation(rng.normal(size=300), 20)
+        rho = autocorrelation(rng.normal(size=300))
         assert rho[0] == 1.0
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)
         x = np.cumsum(rng.normal(size=512))  # correlated series
-        np.testing.assert_allclose(autocorrelation(x, 100), acf_brute_force(x, 100), atol=1e-12)
+        np.testing.assert_allclose(autocorrelation(x)[:101], acf_brute_force(x, 100), atol=1e-12)
 
     def test_alternating_series_against_oracle(self):
         x = np.tile([1.0, -1.0], 256)
-        np.testing.assert_allclose(autocorrelation(x, 10), acf_brute_force(x, 10), atol=1e-12)
+        np.testing.assert_allclose(autocorrelation(x)[:11], acf_brute_force(x, 10), atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 333, 1024])
     def test_bits_match_padded_copy_oracle(self, n):
         x = np.cumsum(np.random.default_rng(n).normal(size=n))
         for max_lag in (0, n - 1):
-            assert autocorrelation(x, max_lag).tobytes() == acf_padded_copy(x, max_lag).tobytes()
+            assert autocorrelation(x)[: max_lag + 1].tobytes() == acf_padded_copy(x, max_lag).tobytes()
 
     @pytest.mark.parametrize("max_lag", [1999, 200])
     def test_box_chain_bits_match_padded_copy_oracle(self, max_lag):
         column = run_chain({"name": "mala", "eps": 0.1}, BOX22, 2000, 0, [0.25, 0.25], 1, 0).samples[:, 0]
-        assert autocorrelation(column, max_lag).tobytes() == acf_padded_copy(column, max_lag).tobytes()
+        assert autocorrelation(column)[: max_lag + 1].tobytes() == acf_padded_copy(column, max_lag).tobytes()
 
     def test_white_noise_decorrelated(self):
         rng = np.random.default_rng(2)
-        rho = autocorrelation(rng.normal(size=100_000), 10)
+        rho = autocorrelation(rng.normal(size=100_000))[:11]
         assert np.all(np.abs(rho[1:]) < 0.02)
 
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError):
-            autocorrelation(np.ones(100), 10)
+            autocorrelation(np.ones(100))
 
     @pytest.mark.parametrize("series", INEXACT_MEAN_CONSTANTS, ids=["0.1x1001", "0.7x7"])
     def test_constant_series_with_inexact_mean_rejected(self, series):
         assert series.mean() != series[0]  # centring leaves a nonzero constant
         with pytest.raises(ValueError, match="constant"):
-            autocorrelation(series, 3)
+            autocorrelation(series)
 
     def test_underflowing_variance_rejected(self):
         # not constant, but the centred sum of squares underflows to 0
         with pytest.raises(ValueError, match="zero variance"):
-            autocorrelation([0.0, 5e-324, 0.0], 2)
+            autocorrelation([0.0, 5e-324, 0.0])
 
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError):
-            autocorrelation([1.0], 0)
-        with pytest.raises(ValueError):
-            autocorrelation([1.0, 2.0, 3.0], 3)
+            autocorrelation([1.0])
 
-    @pytest.mark.parametrize("max_lag", [2.5, True], ids=["float", "bool"])
-    def test_non_integer_max_lag_rejected(self, max_lag):
-        # the package's one integer rule: 2.5 used to fail in slicing, True to give 2 lags
-        with pytest.raises(ValueError, match=rf"^max_lag must be an integer >= 0, got {max_lag!r}$"):
-            autocorrelation([1.0, 2.0, 4.0, 3.0], max_lag)
+    def test_returns_every_lag(self):
+        assert autocorrelation([1.0, 2.0, 4.0, 3.0]).shape == (4,)
 
 
 class TestEss:
@@ -314,7 +310,7 @@ class TestBuildReport:
         for j in range(2):
             column = chain.samples[:, j]
             assert report.ess[j] == ess(column)
-            assert report.acf[j].tolist() == autocorrelation(column, lag).tolist()
+            assert report.acf[j].tolist() == autocorrelation(column)[: lag + 1].tolist()
 
     def test_gauss_chain_report_has_no_box_fields(self):
         target = standard_normal(1)
@@ -360,6 +356,13 @@ class TestBuildReport:
         with pytest.raises(ValueError, match=rf"^max_lag must be an integer >= 0, got {max_lag!r}$"):
             build_report(chain, BOX22, max_lag=max_lag)
 
+    @pytest.mark.parametrize("grid_res", [4.0, "x"], ids=["float", "string"])
+    def test_bad_grid_res_rejected_for_a_mixture(self, grid_res):
+        # checked for every target, not only in the box's histogram and grid
+        chain = run_chain({"name": "mala", "eps": 0.8}, MIX_2D, 50, 0, [1.0, 1.0], 1, 0)
+        with pytest.raises(ValueError, match=rf"^grid_res must be an integer >= 2, got {re.escape(repr(grid_res))}$"):
+            build_report(chain, MIX_2D, grid_res=grid_res)
+
     @pytest.mark.parametrize(
         "cfg", [{"name": "mala", "eps": 500.0}, {"name": "hmc", "eps_leap": 1e-300, "n_leap": 2}]
     )
@@ -377,6 +380,6 @@ class TestBuildReport:
         chain = run_chain({"name": "mala", "eps": 0.5}, standard_normal(2), 400, 0, [0.0, 0.0], 3, 0)
         chain.samples[:, 1] = 0.1
         report = build_report(chain, standard_normal(2), max_lag=10)
-        assert report.acf[0].tolist() == autocorrelation(chain.samples[:, 0], 10).tolist()
+        assert report.acf[0].tolist() == autocorrelation(chain.samples[:, 0])[:11].tolist()
         assert report.ess[0] == ess(chain.samples[:, 0])
         assert report.acf[1].tolist() == [1.0] * 11

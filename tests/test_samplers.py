@@ -741,6 +741,12 @@ class TestStateVectors:
             assert (old.theta, old.grad) == copies
 
 
+# the two-component 2D mixture of the moment gates, and its weights, means
+# and variances as arrays
+GATE_MIX = [(0.3, [-0.5, -0.5], [1.0, 0.5]), (0.7, [0.5, 1.0], [0.5, 1.0])]
+GATE_W, GATE_MU, GATE_VAR = (np.array([c[i] for c in GATE_MIX]) for i in range(3))
+
+
 class TestInvariance:
     """Moment gate: E[x^2] on standard_normal(d), averaged over the d
     coordinates, within 4 standard errors of 1; per-coordinate E[x] and
@@ -803,11 +809,8 @@ class TestInvariance:
     )
     def test_moments_of_mixture(self, block):
         chains = 8
-        components = [(0.3, [-0.5, -0.5], [1.0, 0.5]), (0.7, [0.5, 1.0], [0.5, 1.0])]
-        w = np.array([c[0] for c in components])
-        mu = np.array([c[1] for c in components])
-        var = np.array([c[2] for c in components])
-        target = GaussianMixture(components)
+        w, mu, var = GATE_W, GATE_MU, GATE_VAR
+        target = GaussianMixture(GATE_MIX)
         samples = [
             run_chain(block, target, 10_000, 500, [0.0, 0.0], 1, k).samples for k in range(chains)
         ]
@@ -856,7 +859,8 @@ def exact_start_z(block, dim, m=10_000):
 class TestExactStartInvariance:
     """Moments after 10 steps from 10,000 exact starts, each within 4
     standard errors of its exact value: E[x^2] on standard_normal(d) (see
-    exact_start_z), and the box's coordinate moments and basin masses."""
+    exact_start_z), the mixture's coordinate moments, and the box's
+    coordinate moments and basin masses."""
 
     @pytest.mark.parametrize(
         "block,dim",
@@ -889,6 +893,29 @@ class TestExactStartInvariance:
     def test_second_moment_of_standard_normal(self, block, dim):
         mean, z = exact_start_z(block, dim)
         assert abs(z) <= 4.0, f"E[x^2] = {mean:.4f}, z = {z:.2f}"
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            pytest.param({"name": "mala", "eps": 1.0}, id="mala"),
+            pytest.param({"name": "hmc", "eps_leap": 0.3, "n_leap": 5}, id="hmc"),
+        ],
+    )
+    def test_mixture_moments(self, block):
+        # 10,000 exact starts on TestInvariance's mixture: a component
+        # picked by weight, then its mean plus scaled normals; per
+        # coordinate E[x] and E[x^2] against their exact values
+        w, mu, var = GATE_W, GATE_MU, GATE_VAR
+        m = 10_000
+        rng = np.random.default_rng(1)
+        component = rng.choice(2, size=m, p=w)
+        starts = mu[component] + np.sqrt(var[component]) * rng.standard_normal((m, 2))
+        finals = exact_start_finals(block, GaussianMixture(GATE_MIX), starts)
+        stats = np.column_stack([finals, finals**2])
+        exact = np.concatenate([w @ mu, w @ (var + mu * mu)])
+        means = stats.mean(axis=0)
+        z = (means - exact) / (stats.std(axis=0, ddof=1) / math.sqrt(m))
+        assert np.all(np.abs(z) <= 4.0), f"means {means}, exact {exact}, z {z}"
 
     @pytest.mark.parametrize(
         "block",
@@ -992,6 +1019,15 @@ class TestRunChain:
         with pytest.raises(ValueError, match=f"^{name} sampler is missing field 'eps'$"):
             make_sampler({"name": name})
 
+    @pytest.mark.parametrize("name", ["mala", "adaptive"])
+    @pytest.mark.parametrize("eps", [1e-170, 1e200], ids=["square-underflows", "square-overflows"])
+    def test_eps_whose_square_is_not_positive_and_finite_rejected(self, name, eps):
+        # eps^2 is the proposal scale: at 1e-170 it is 0.0 and a run failed
+        # mid-way as a math domain error; at 1e200 it is inf and the chain never moved
+        message = f"eps must square to a positive finite number, got {eps!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_sampler({"name": name, "eps": eps})
+
     def test_full_adaptation_block_round_trips(self):
         sampler = make_sampler({"name": "adaptive", "eps": 0.2, "beta": 1.4, "xi": 0.3})
         assert sampler == AdaptiveSampler(eps=0.2, beta=1.4, xi=0.3)
@@ -1042,9 +1078,9 @@ class TestRunChain:
     def test_meta_contents(self):
         chain = run_chain({"name": "mala", "eps": 0.5}, NORMAL1, 10, 2, [0.0], 13, 2)
         assert chain.meta["sampler"] == "mala"
-        assert chain.meta["seed"] == 13 and chain.meta["chain_id"] == 2
+        assert chain.meta["chain_id"] == 2
         assert chain.meta["burn_in"] == 2
-        assert set(chain.meta) == {"sampler", "seed", "chain_id", "burn_in", "wall_time_s"}
+        assert set(chain.meta) == {"sampler", "chain_id", "burn_in", "wall_time_s"}
 
     @pytest.mark.parametrize(
         "field,value",

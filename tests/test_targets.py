@@ -164,6 +164,30 @@ class TestBoxValidation:
         with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1, got {re.escape(repr(value))}$"):
             ParticleBox2D(1.0, 1.0, numbers["nx"], numbers["ny"])
 
+    @pytest.mark.parametrize("side", [1e200, 1e-200, 1e-160], ids=["area-overflows", "area-underflows", "normaliser-overflows"])
+    def test_sides_without_a_finite_normaliser_rejected(self, side):
+        # these used to fail as a math domain error, a ZeroDivisionError
+        # and a log density of +inf
+        message = f"Lx * Ly must give a finite normaliser 4 / (Lx * Ly), got Lx = {side!r}, Ly = {side!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ParticleBox2D(side, side, 2, 2)
+
+    @pytest.mark.parametrize("field", ["nx", "ny"])
+    def test_quantum_number_too_large_for_a_float_rejected(self, field):
+        # 10**400 used to raise OverflowError
+        numbers = {"nx": 2, "ny": 2, field: 10**400}
+        length = {"nx": "Lx", "ny": "Ly"}[field]
+        with pytest.raises(ValueError, match=rf"^2 {field} pi / {length} overflows, got {field} = 1000"):
+            ParticleBox2D(1.0, 1.0, numbers["nx"], numbers["ny"])
+
+    def test_side_whose_wave_number_overflows_rejected(self):
+        with pytest.raises(ValueError, match=r"^2 nx pi / Lx overflows, got nx = 2, Lx = 1e-308$"):
+            ParticleBox2D(1e-308, 1e10, 2, 2)
+
+    def test_side_too_large_for_a_float_rejected(self):
+        with pytest.raises(ValueError, match=r"^Lx must be a finite number, got 1000"):
+            ParticleBox2D(10**400, 1.0, 2, 2)
+
     def test_mode_centers(self):
         np.testing.assert_allclose(BOX22.mode_centers()[0], [0.25, 0.25])
         centers = BOX22.mode_centers()
@@ -227,6 +251,22 @@ class TestGaussianMixture:
             GaussianMixture([(1.0, [0.0], [0.0])])
         with pytest.raises(ValueError):
             GaussianMixture([(-1.0, [0.0], [1.0])])
+
+    @pytest.mark.parametrize(
+        "component",
+        [(1.0, [0.0]), {"weight": 1.0, "mean": [0.0], "variance": [1.0]}],
+        ids=["pair", "dict"],
+    )
+    def test_component_that_is_not_a_triple_rejected(self, component):
+        # these used to raise IndexError and KeyError: 0
+        message = f"component 1 must be a (weight, mean, variance) triple, got {component!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GaussianMixture([(1.0, [0.0], [1.0]), component])
+
+    def test_weight_that_normalizes_to_zero_rejected(self):
+        # 5e-324 / 2 rounds to 0.0, whose log used to fail as a math domain error
+        with pytest.raises(ValueError, match=r"^component 0 weight 5e-324 normalizes to 0$"):
+            GaussianMixture([(5e-324, [0.0], [1.0]), (2.0, [0.0], [1.0])])
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_empty_mean_names_the_component(self, index):
@@ -574,6 +614,13 @@ class TestRegistry:
     def test_gauss_mix_components_must_be_a_list_of_objects(self, components, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_target("gauss_mix", {"components": components})
+
+    def test_gauss_mix_weights_with_an_infinite_sum_rejected(self):
+        # used to warn of a numpy overflow, then fail as a math domain error
+        component = {"weight": 1e308, "mean": [0.0], "variance": [1.0]}
+        message = "component weights must have a finite sum, got [1e+308, 1e+308]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_target("gauss_mix", {"components": [component, component]})
 
     def test_unknown(self):
         with pytest.raises(ValueError):
